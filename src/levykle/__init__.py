@@ -42,8 +42,6 @@ from .shotnoise import (
     extend_dimension,
     sample_coeffs,
     sample_coeffs_batch,
-    sample_coeffs_centered,
-    sample_coeffs_finite_variation,
     write_coefficients_csv,
 )
 from .special import (
@@ -102,8 +100,6 @@ __all__ = [
     "run_validation",
     "sample_coeffs",
     "sample_coeffs_batch",
-    "sample_coeffs_centered",
-    "sample_coeffs_finite_variation",
     "variance_capture",
     "write_coefficients_csv",
 ]

@@ -56,6 +56,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        if not isinstance(self.model, dict):
+            raise ConfigError(f"model must be a mapping with a 'model' kind, got {self.model!r}")
         if self.T <= 0.0 or not math.isfinite(self.T):
             raise ConfigError(f"T must be a positive real, got {self.T!r}")
         if not self.d_list:
@@ -123,13 +125,19 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
             overrides["d_list"] = tuple(int(part) for part in args.d_list.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad d_list {args.d_list!r}: {exc}") from exc
+    params = getattr(args, "model_param", None) or []
+    if params and getattr(args, "model", None) is None:
+        raise ConfigError(f"model parameters {params} need --model")
     if getattr(args, "model", None) is not None:
         chosen = {"model": args.model}
-        for item in getattr(args, "model_param", None) or []:
+        for item in params:
             key, _, raw = item.partition("=")
             if not _:
                 raise ConfigError(f"model parameter {item!r} is not key=value")
-            chosen[key] = float(raw)
+            try:
+                chosen[key] = float(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad model parameter {item!r}: {exc}") from exc
         overrides["model"] = chosen
     if overrides:
         cfg = replace(cfg, **overrides)

@@ -516,25 +516,31 @@ def as_split(model: LevyModel) -> SplitModel:
     )
 
 
+# Parameters of each configurable model kind, with defaults, in factory order.
+_CONFIG_KINDS = {
+    "brownian": (lambda sigma2: as_split(make_brownian(sigma2)), {"sigma2": 1.0}),
+    "gamma": (lambda c, rho: as_split(make_gamma(c, rho)), {"c": 1.0, "rho": 1.0}),
+    "cp_exponential": (lambda rate, rho: as_split(make_cp_exponential(rate, rho)),
+                       {"rate": 1.0, "rho": 1.0}),
+    "variance_gamma": (make_variance_gamma,
+                       {"c_pos": 1.0, "rho_pos": 1.0, "c_neg": 1.0, "rho_neg": 2.0}),
+}
+
+
 def model_from_config(cfg: dict) -> SplitModel:
     """Build the composite model described by a configuration mapping.
 
     Recognized values of ``cfg["model"]``: ``brownian`` (``sigma2``),
     ``gamma`` (``c``, ``rho``), ``cp_exponential`` (``rate``, ``rho``) and
     ``variance_gamma`` (``c_pos``, ``rho_pos``, ``c_neg``, ``rho_neg``).
+    Omitted parameters take their defaults; any other key is an error.
     """
     kind = cfg.get("model")
-    if kind == "brownian":
-        return as_split(make_brownian(float(cfg.get("sigma2", 1.0))))
-    if kind == "gamma":
-        return as_split(make_gamma(float(cfg.get("c", 1.0)), float(cfg.get("rho", 1.0))))
-    if kind == "cp_exponential":
-        return as_split(make_cp_exponential(float(cfg.get("rate", 1.0)), float(cfg.get("rho", 1.0))))
-    if kind == "variance_gamma":
-        return make_variance_gamma(
-            float(cfg.get("c_pos", 1.0)),
-            float(cfg.get("rho_pos", 1.0)),
-            float(cfg.get("c_neg", 1.0)),
-            float(cfg.get("rho_neg", 2.0)),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in _CONFIG_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    build, defaults = _CONFIG_KINDS[kind]
+    unknown = sorted(set(cfg) - {"model"} - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for model {kind!r}; "
+                         f"known: {sorted(defaults)}")
+    return build(**{name: float(cfg.get(name, default)) for name, default in defaults.items()})

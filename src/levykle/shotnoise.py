@@ -1,22 +1,27 @@
 """Shot-noise sampling of the expansion coefficient vector.
 
-A realization of the d coefficients of a centered positive-jump model is
-assembled from a unit-rate Poisson arrival stream Gamma_1 < Gamma_2 < ... and
-independent uniforms U_i:
+Each jump part of a composite model follows the h0 convention and is
+centered (drift a = -m) before sampling. Its coefficients are the series
 
-    Z = a_vec + sum_i f(g_inv(Gamma_i / T), T U_i),
+    Z = a_vec + sum_i f(g_inv(Gamma_i / T), T U_i)
 
-summing while Gamma_i stays below the truncation level. For finite-activity
-models the natural level is T g(0) and the series is exact; for gamma-type
-tails the level is gamma_cutoff * T * c (the documented default 45.47 keeps
-discarded jump sizes near 1e-20); otherwise a configurable absolute jump
-floor determines the level through g. The h1 route replaces the drift vector
-by the deterministic centering C evaluated at the same truncation level, so
-both routes agree path by path on finite-activity models.
+over a unit-rate Poisson arrival stream Gamma_1 < Gamma_2 < ... with
+independent uniforms U_i, summed while Gamma_i stays below the truncation
+level. For finite-activity models the natural level is T g(0) and the series
+is exact; for gamma-type tails the level is gamma_cutoff * T * c (the
+documented default 45.47 keeps discarded jump sizes near 1e-20); otherwise a
+configurable absolute jump floor determines the level through g. The
+negative part is sampled on its own substream and subtracted, and a Brownian
+component adds an independent Gaussian vector.
 
-Two-sided processes sample the positive and negative parts on independent
-substreams and subtract, then add an independent Gaussian vector for any
-Brownian component.
+One construction serves every caller. A plan, built once per (model, basis,
+config), holds each part's substream label, sign, centered tail, stop level
+and drift vector, plus the Gaussian scale; one batched kernel consumes it.
+``sample_coeffs`` is the batch of one plus its shot record, and
+``extend_dimension`` adds parts to a row through the kernel's own helper, so
+batch rows, single samples and grown samples agree bitwise by construction.
+``centering_vector`` gives the h1 centering C at a truncation level; on
+finite-activity models the jump sum minus C equals the h0 result.
 
 Reproducibility: every (sample_index, part) pair receives its own generator,
 derived as PCG64(SeedSequence(seed, spawn_key=(sample_index, part))) with the
@@ -29,13 +34,13 @@ growth and under any partitioning of samples across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 import numpy as np
 
 from .basis import KleBasis
-from .models import CUTOFF_H0, LevyModel, SplitModel, TailIntegral, center
+from .models import CUTOFF_H0, SplitModel, TailIntegral, center
 from .special import quad
 
 __all__ = [
@@ -53,8 +58,6 @@ __all__ = [
     "shot_sum",
     "gamma_stop_level",
     "centering_vector",
-    "sample_coeffs_finite_variation",
-    "sample_coeffs_centered",
     "sample_coeffs",
     "sample_coeffs_batch",
     "extend_dimension",
@@ -192,15 +195,17 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray) -> n
     """sum_i f(x_i, T u_i) for jump sizes x_i placed at times T u_i.
 
     Componentwise (sqrt(2T)/pi) sum_i x_i cos(pi (k-1/2) u_i) / (k-1/2);
-    linear in the jump sizes. Summation uses a fixed per-column reduction so
+    linear in the jump sizes. Every column adds its terms in row order, so
     the first columns do not depend on how many columns are requested.
     """
     if len(jump_sizes) == 0:
         return np.zeros(basis.d)
     x = np.asarray(jump_sizes, dtype=float)
     u = np.asarray(uniforms, dtype=float)
-    cosmat = np.cos(np.pi * np.outer(u, basis.k_half))
-    comp = (cosmat * x[:, None]).sum(axis=0)
+    terms = np.cos(np.pi * np.outer(u, basis.k_half)) * x[:, None]
+    # numpy sums a lone contiguous column pairwise; a running sum keeps d = 1
+    # in the row order that sum(axis=0) uses for d >= 2.
+    comp = terms.sum(axis=0) if basis.d > 1 else np.cumsum(terms[:, 0])[-1:]
     return math.sqrt(2.0 * basis.T) / math.pi * comp / basis.k_half
 
 
@@ -251,10 +256,6 @@ class PartRecord:
     jump_sizes: np.ndarray
     drift_a: float
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.gammas)
-
 
 @dataclass(frozen=True, eq=False)
 class ShotRecord:
@@ -288,131 +289,76 @@ class CoefficientSample:
             raise ValueError("coefficients must be finite")
 
 
-def _part_from_stream(
-    tail: TailIntegral,
-    T: float,
-    drift_a: float,
-    gamma_stop: float,
-    cfg: ShotConfig,
-    seed_seq,
-    stream: ArrivalStream | None,
-) -> PartRecord:
-    if stream is not None:
-        gammas = stream.gammas
-        n = int(np.searchsorted(gammas, gamma_stop, side="left"))
-        if n >= len(gammas):
-            raise TruncationCapError(len(gammas), float(gammas[-1]), gamma_stop)
-        gammas = gammas[:n]
-        uniforms = stream.uniforms[:n]
-    else:
-        gammas, uniforms = _draw_until(seed_seq, gamma_stop, cfg.max_terms)
-    jump_sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas / T), dtype=float)) if gammas.size else np.empty(0)
-    return PartRecord(gammas=gammas, uniforms=uniforms, jump_sizes=jump_sizes, drift_a=drift_a)
+def _gaussian_scale(basis: KleBasis, sigma2: float) -> np.ndarray | None:
+    return np.sqrt(basis.gaussian_coefficient_variances(sigma2)) if sigma2 > 0.0 else None
 
 
-def _assemble(basis: KleBasis, record: ShotRecord) -> np.ndarray:
-    # Shared by fresh sampling and dimension extension so both produce
-    # bitwise-identical floating point operations.
-    z = np.zeros(basis.d)
-    if record.pos is not None:
-        z = z + (basis.drift_vector(record.pos.drift_a) + shot_sum(basis, record.pos.jump_sizes, record.pos.uniforms))
-    if record.neg is not None:
-        z = z - (basis.drift_vector(record.neg.drift_a) + shot_sum(basis, record.neg.jump_sizes, record.neg.uniforms))
-    if record.sigma2 > 0.0:
-        scale = np.sqrt(basis.gaussian_coefficient_variances(record.sigma2))
-        gauss = derive_rng(record.seed, record.sample_index, PART_GAUSS).standard_normal(basis.d)
-        z = z + scale * gauss
-    return z
+def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
+    """What sampling needs beyond the sample index, built once per call.
 
-
-def _require_centered_h0(model: LevyModel, op: str) -> None:
-    if model.triple.cutoff != CUTOFF_H0:
-        raise ValueError(f"{op} expects an h0-convention model")
-    if not model.is_centered:
-        raise ValueError(
-            f"{op} expects a centered model (mean rate {model.mean_rate:g}); apply center() first"
-        )
-
-
-def _part_seed(cfg: ShotConfig, sample_index: int, part: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(int(cfg.seed), spawn_key=(int(sample_index), part))
-
-
-def sample_coeffs_finite_variation(
-    model: LevyModel,
-    basis: KleBasis,
-    cfg: ShotConfig,
-    sample_index: int = 0,
-    stream: ArrivalStream | None = None,
-    keep_record: bool = False,
-) -> CoefficientSample:
-    """Sample Z for a centered finite-variation positive-jump model (h0 route).
-
-    Returns the drift vector of a = -m plus the shot-noise jump sum; the
-    series stops at the model's natural or configured truncation level. Pass
-    ``stream`` to reuse an explicit arrival stream (it must extend beyond the
-    truncation level).
+    One ``(label, sign, centered tail, stop level, drift a, drift vector)``
+    tuple per jump part, and the Gaussian scale (None without a Gaussian
+    part). Jump parts must follow the h0 convention.
     """
-    _require_centered_h0(model, "sample_coeffs_finite_variation")
-    if model.tail_pos is None:
-        z = basis.drift_vector(model.triple.a)
-        return CoefficientSample(
-            z=z, d=basis.d, n_terms_pos=0, n_terms_neg=0,
-            seed=cfg.seed, sample_index=sample_index,
-        )
-    stop = gamma_stop_level(model.tail_pos, basis.T, cfg)
-    part = _part_from_stream(
-        model.tail_pos, basis.T, model.triple.a, stop, cfg,
-        _part_seed(cfg, sample_index, PART_POS), stream,
-    )
-    record = ShotRecord(
-        T=basis.T, alpha=basis.alpha, seed=cfg.seed, sample_index=sample_index,
-        sigma2=0.0, pos=part, neg=None,
-    )
-    z = _assemble(basis, record)
-    return CoefficientSample(
-        z=z, d=basis.d, n_terms_pos=part.n_terms, n_terms_neg=0,
-        seed=cfg.seed, sample_index=sample_index,
-        shot_record=record if keep_record else None,
-    )
+    parts = []
+    for label, sign, part in ((PART_POS, 1.0, model.pos), (PART_NEG, -1.0, model.neg)):
+        if part is None:
+            continue
+        if part.triple.cutoff != CUTOFF_H0:
+            raise ValueError(f"jump part {part.name!r} uses the {part.triple.cutoff} convention; "
+                             "the samplers expect h0")
+        c = center(part)
+        stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
+        parts.append((label, sign, c.tail_pos, stop, c.triple.a, basis.drift_vector(c.triple.a)))
+    return parts, _gaussian_scale(basis, float(model.gaussian_sigma2))
 
 
-def sample_coeffs_centered(
-    model: LevyModel,
-    basis: KleBasis,
-    cfg: ShotConfig,
-    sample_index: int = 0,
-    stream: ArrivalStream | None = None,
-    keep_record: bool = False,
-) -> CoefficientSample:
-    """Sample Z for a centered positive-jump model via the h1 route.
+def _add_part(row: np.ndarray, basis: KleBasis, sign: float, drift: np.ndarray,
+              jump_sizes: np.ndarray, uniforms: np.ndarray) -> None:
+    # The one place a jump part enters a coefficient row; fresh sampling and
+    # dimension extension both go through it, so they agree bitwise.
+    row += sign * (drift + shot_sum(basis, jump_sizes, uniforms))
 
-    The jump sum is compensated by the deterministic centering C evaluated at
-    the truncation level instead of a drift vector; on finite-activity models
-    this agrees with the h0 route term for term on the same stream.
+
+def _add_gaussian(row: np.ndarray, scale: np.ndarray | None, seed: int, sample_index: int) -> None:
+    if scale is not None:
+        row += scale * derive_rng(seed, sample_index, PART_GAUSS).standard_normal(len(row))
+
+
+def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
+         start_index: int, chunk: int, keep: bool = False):
+    """The sampling kernel: ``(Z, n_pos, n_neg, kept)`` for consecutive indices.
+
+    Jump-size inversion is vectorized across ``chunk`` samples at a time,
+    which is elementwise identical to inverting each sample alone. With
+    ``keep``, ``kept[i]`` maps each part label to the row's ``PartRecord``.
     """
-    if not model.is_centered:
-        raise ValueError(
-            f"sample_coeffs_centered expects a centered model (mean rate {model.mean_rate:g})"
-        )
-    if model.tail_pos is None:
-        raise ValueError("sample_coeffs_centered needs a jump part")
-    stop = gamma_stop_level(model.tail_pos, basis.T, cfg)
-    part = _part_from_stream(
-        model.tail_pos, basis.T, 0.0, stop, cfg,
-        _part_seed(cfg, sample_index, PART_POS), stream,
-    )
-    z = shot_sum(basis, part.jump_sizes, part.uniforms) - centering_vector(
-        model.tail_pos, basis, stop, cfg
-    )
-    return CoefficientSample(
-        z=z, d=basis.d, n_terms_pos=part.n_terms, n_terms_neg=0,
-        seed=cfg.seed, sample_index=sample_index,
-        shot_record=ShotRecord(
-            T=basis.T, alpha=basis.alpha, seed=cfg.seed, sample_index=sample_index,
-            sigma2=0.0, pos=part, neg=None,
-        ) if keep_record else None,
-    )
+    parts, gauss_scale = _plan(model, basis, cfg)
+    Z = np.zeros((n_samples, basis.d))
+    counts = np.zeros((2, n_samples), dtype=np.int64)
+    kept = [{} for _ in range(n_samples)] if keep else None
+    for lo in range(0, n_samples, chunk):
+        idx = range(start_index + lo, start_index + min(lo + chunk, n_samples))
+        for label, sign, tail, stop, drift_a, drift in parts:
+            draws = [
+                _draw_until(np.random.SeedSequence(int(cfg.seed), spawn_key=(int(i), label)), stop, cfg.max_terms)
+                for i in idx
+            ]
+            n = np.array([len(g) for g, _ in draws])
+            sizes_flat = (
+                np.atleast_1d(np.asarray(tail.g_inv(np.concatenate([g for g, _ in draws]) / basis.T), dtype=float))
+                if n.sum() else np.empty(0)
+            )
+            offsets = np.concatenate(([0], np.cumsum(n)))
+            for j, (gammas, uniforms) in enumerate(draws):
+                x = sizes_flat[offsets[j]:offsets[j + 1]]
+                _add_part(Z[lo + j], basis, sign, drift, x, uniforms)
+                if keep:
+                    kept[lo + j][label] = PartRecord(gammas, uniforms, x, drift_a)
+            counts[label, lo:lo + len(idx)] = n
+        for j, i in enumerate(idx):
+            _add_gaussian(Z[lo + j], gauss_scale, cfg.seed, i)
+    return Z, counts[PART_POS], counts[PART_NEG], kept
 
 
 def sample_coeffs(
@@ -424,38 +370,20 @@ def sample_coeffs(
 ) -> CoefficientSample:
     """Sample Z for a composite model: Z_pos - Z_neg + Gaussian part.
 
-    Parts are centered internally and sampled on independent substreams
-    derived from ``(cfg.seed, sample_index, part)``; the Gaussian vector uses
-    the variances that make a jump-free model reproduce E[Z_k^2] = lambda_k.
+    The batch of one: equal bitwise to row ``sample_index`` of
+    ``sample_coeffs_batch``. Parts must follow the h0 convention and are
+    centered internally; each is sampled on its own substream derived from
+    ``(cfg.seed, sample_index, part)``, and the Gaussian vector uses the
+    variances that make a jump-free model reproduce E[Z_k^2] = lambda_k.
     """
-    pos_part = neg_part = None
-    if model.pos is not None:
-        pos_c = center(model.pos)
-        stop = gamma_stop_level(pos_c.tail_pos, basis.T, cfg)
-        pos_part = _part_from_stream(
-            pos_c.tail_pos, basis.T, pos_c.triple.a, stop, cfg,
-            _part_seed(cfg, sample_index, PART_POS), None,
-        )
-    if model.neg is not None:
-        neg_c = center(model.neg)
-        stop = gamma_stop_level(neg_c.tail_pos, basis.T, cfg)
-        neg_part = _part_from_stream(
-            neg_c.tail_pos, basis.T, neg_c.triple.a, stop, cfg,
-            _part_seed(cfg, sample_index, PART_NEG), None,
-        )
+    Z, n_pos, n_neg, kept = _run(model, basis, cfg, 1, sample_index, 1, keep=keep_record)
     record = ShotRecord(
         T=basis.T, alpha=basis.alpha, seed=cfg.seed, sample_index=sample_index,
-        sigma2=float(model.gaussian_sigma2), pos=pos_part, neg=neg_part,
-    )
-    z = _assemble(basis, record)
+        sigma2=float(model.gaussian_sigma2), pos=kept[0].get(PART_POS), neg=kept[0].get(PART_NEG),
+    ) if keep_record else None
     return CoefficientSample(
-        z=z,
-        d=basis.d,
-        n_terms_pos=pos_part.n_terms if pos_part is not None else 0,
-        n_terms_neg=neg_part.n_terms if neg_part is not None else 0,
-        seed=cfg.seed,
-        sample_index=sample_index,
-        shot_record=record if keep_record else None,
+        z=Z[0], d=basis.d, n_terms_pos=int(n_pos[0]), n_terms_neg=int(n_neg[0]),
+        seed=cfg.seed, sample_index=sample_index, shot_record=record,
     )
 
 
@@ -469,52 +397,12 @@ def sample_coeffs_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample ``n_samples`` coefficient vectors with consecutive sample indices.
 
-    Returns ``(Z, n_pos, n_neg)`` where Z has shape (n_samples, d). Row i is
-    bitwise identical to ``sample_coeffs(..., sample_index=start_index + i)``:
-    the only difference is that jump-size inversion is vectorized across
-    ``chunk`` samples at a time, which is an elementwise-identical operation.
+    Returns ``(Z, n_pos, n_neg)`` where Z has shape (n_samples, d) and row i
+    is the sample with index ``start_index + i``; ``chunk`` sets how many
+    samples share one vectorized jump-size inversion and never changes the
+    result.
     """
-    parts = []
-    if model.pos is not None:
-        c = center(model.pos)
-        parts.append((PART_POS, +1.0, c.tail_pos, gamma_stop_level(c.tail_pos, basis.T, cfg),
-                      basis.drift_vector(c.triple.a)))
-    if model.neg is not None:
-        c = center(model.neg)
-        parts.append((PART_NEG, -1.0, c.tail_pos, gamma_stop_level(c.tail_pos, basis.T, cfg),
-                      basis.drift_vector(c.triple.a)))
-    sigma2 = float(model.gaussian_sigma2)
-    gauss_scale = np.sqrt(basis.gaussian_coefficient_variances(sigma2)) if sigma2 > 0.0 else None
-
-    Z = np.zeros((n_samples, basis.d))
-    n_pos = np.zeros(n_samples, dtype=np.int64)
-    n_neg = np.zeros(n_samples, dtype=np.int64)
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        idx = range(start_index + lo, start_index + hi)
-        for part, sign, tail, stop, drift in parts:
-            gam_list, uni_list = [], []
-            for i in idx:
-                g, u = _draw_until(_part_seed(cfg, i, part), stop, cfg.max_terms)
-                gam_list.append(g)
-                uni_list.append(u)
-            counts = np.array([len(g) for g in gam_list])
-            sizes_flat = (
-                np.atleast_1d(np.asarray(tail.g_inv(np.concatenate(gam_list) / basis.T), dtype=float))
-                if counts.sum() else np.empty(0)
-            )
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            for j, i in enumerate(idx):
-                x = sizes_flat[offsets[j]:offsets[j + 1]]
-                Z[lo + j] += sign * (drift + shot_sum(basis, x, uni_list[j]))
-                if part == PART_POS:
-                    n_pos[lo + j] = counts[j]
-                else:
-                    n_neg[lo + j] = counts[j]
-        if gauss_scale is not None:
-            for j, i in enumerate(idx):
-                gauss = derive_rng(cfg.seed, i, PART_GAUSS).standard_normal(basis.d)
-                Z[lo + j] += gauss_scale * gauss
+    Z, n_pos, n_neg, _ = _run(model, basis, cfg, n_samples, start_index, chunk)
     return Z, n_pos, n_neg
 
 
@@ -533,7 +421,11 @@ def extend_dimension(coeffs: CoefficientSample, new_d: int, shot_record: ShotRec
     if new_d == coeffs.d:
         return coeffs
     wide = KleBasis(T=record.T, d=new_d, alpha=record.alpha)
-    z = _assemble(wide, record)
+    z = np.zeros(new_d)
+    for sign, part in ((1.0, record.pos), (-1.0, record.neg)):
+        if part is not None:
+            _add_part(z, wide, sign, wide.drift_vector(part.drift_a), part.jump_sizes, part.uniforms)
+    _add_gaussian(z, _gaussian_scale(wide, record.sigma2), record.seed, record.sample_index)
     if not np.array_equal(z[: coeffs.d], coeffs.z):
         raise ValueError("shot_record is inconsistent with the sample it claims to extend")
     return CoefficientSample(

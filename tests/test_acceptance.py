@@ -34,7 +34,6 @@ from levykle.shotnoise import (
     extend_dimension,
     sample_coeffs,
     sample_coeffs_batch,
-    sample_coeffs_finite_variation,
 )
 from levykle.special import default_e1_inverse, exp_integral_e1
 from levykle.validation import _direct_terminal_samples
@@ -323,8 +322,7 @@ class TestCriterion10:
     def test_cesaro_suppresses_overshoot(self):
         model = center(make_cp_exponential(2.0, 1.0))
         basis = KleBasis(T=1.0, d=500, alpha=model.alpha)
-        s = sample_coeffs_finite_variation(
-            model, basis, ShotConfig(seed=SEED_GIBBS), keep_record=True)
+        s = sample_coeffs(as_split(model), basis, ShotConfig(seed=SEED_GIBBS), keep_record=True)
         rec = s.shot_record.pos
         times = basis.T * rec.uniforms
         big = int(np.argmax(rec.jump_sizes))

@@ -57,6 +57,27 @@ class TestConfig:
                    "--model-param", "c=-3", "--output-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_non_numeric_model_param_is_config_error(self, tmp_path, capsys):
+        rc = main(["simulate-paths", "--model", "gamma",
+                   "--model-param", "c=abc", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "c=abc" in err and err.count("\n") == 1
+
+    def test_unknown_model_param_is_config_error(self, tmp_path, capsys):
+        for extra in (["--model", "gamma"], []):
+            rc = main(["simulate-paths", *extra, "--model-param", "cc=5",
+                       "--output-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "cc" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_model_must_be_a_mapping(self, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"model": "gamma"}))
+        assert main(["simulate-paths", "--config", str(cfg_file)]) == 2
+
     def test_bad_d_list_is_config_error(self, tmp_path):
         rc = main(["mc-mean", "--d-list", "5,3", "--output-dir", str(tmp_path)])
         assert rc == 2

@@ -12,6 +12,7 @@ import pytest
 
 from levykle.basis import KleBasis
 from levykle.models import (
+    as_split,
     center,
     make_brownian,
     make_cp_exponential,
@@ -27,10 +28,11 @@ from levykle.oracles import (
     mixed_fourth_cumulant,
 )
 from levykle.shotnoise import (
+    PART_POS,
     ShotConfig,
     TruncationCapError,
     arrival_stream,
-    sample_coeffs_finite_variation,
+    sample_coeffs,
 )
 
 # lambda_1 / 2 for unit-variance Brownian coefficients on [0, 1]
@@ -157,12 +159,12 @@ class TestBruteForce:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_agrees_with_sampler_on_shared_streams(self):
+        # The oracle's fixed-cap stream on the sampler's own substream extends
+        # the arrivals the sampler drew, element for element.
         cfg = ShotConfig(seed=0)
         for i in range(20):
-            stream = arrival_stream(500 + i, 512)
-            ours = sample_coeffs_finite_variation(
-                self.cp, self.basis, cfg, sample_index=i, stream=stream
-            ).z
+            stream = arrival_stream(np.random.SeedSequence(cfg.seed, spawn_key=(i, PART_POS)), 512)
+            ours = sample_coeffs(as_split(self.cp), self.basis, cfg, sample_index=i).z
             ref = brute_force_coeffs(self.cp, self.basis, stream)
             assert np.max(np.abs(ours - ref)) < 1e-12
 
@@ -247,7 +249,7 @@ class TestCrossValidation:
         basis = KleBasis(T=1.0, d=1, alpha=cp.alpha)
         cfg = ShotConfig(seed=60)
         ours = np.array([
-            sample_coeffs_finite_variation(cp, basis, cfg, sample_index=i).z[0]
+            sample_coeffs(as_split(cp), basis, cfg, sample_index=i).z[0]
             for i in range(400)
         ])
         ref = np.array([

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levykle.basis import KleBasis
-from levykle.models import as_split, center, make_cp_exponential, make_gamma
+from levykle.models import SplitModel, as_split, center, make_cp_exponential, make_gamma
 from levykle.shotnoise import (
     ShotConfig,
     TruncationCapError,
@@ -18,8 +20,6 @@ from levykle.shotnoise import (
     gamma_stop_level,
     sample_coeffs,
     sample_coeffs_batch,
-    sample_coeffs_centered,
-    sample_coeffs_finite_variation,
     shot_sum,
     extend_dimension,
     write_coefficients_csv,
@@ -169,19 +169,40 @@ class TestSamplers:
         assert not np.array_equal(a.z, b.z)
 
     def test_finite_variation_route_preconditions(self):
+        # Every sampler rejects an h1-convention part: it would otherwise be
+        # centered to a = 0 and its jumps added uncompensated.
         basis = KleBasis(T=1.0, d=3, alpha=1.0)
         cp = make_cp_exponential(3.0, 1.5)
-        with pytest.raises(ValueError, match="centered"):
-            sample_coeffs_finite_variation(cp, basis, ShotConfig(seed=1))
         h1 = replace(cp, triple=replace(cp.triple, cutoff="h1"))
-        with pytest.raises(ValueError, match="h0"):
-            sample_coeffs_finite_variation(h1, basis, ShotConfig(seed=1))
+        for model in (as_split(h1), SplitModel("mixed", pos=cp, neg=h1)):
+            with pytest.raises(ValueError, match="h0"):
+                sample_coeffs(model, basis, ShotConfig(seed=1))
+            with pytest.raises(ValueError, match="h0"):
+                sample_coeffs_batch(model, basis, ShotConfig(seed=1), 4)
 
     def test_centered_route_requires_centered_model(self):
+        # The samplers center each part themselves: an uncentered model
+        # samples exactly as its centered version, with drift a = -m.
         cp = make_cp_exponential(3.0, 1.5)
         basis = KleBasis(T=1.0, d=3, alpha=cp.alpha)
-        with pytest.raises(ValueError):
-            sample_coeffs_centered(cp, basis, ShotConfig(seed=1))
+        cfg = ShotConfig(seed=1)
+        raw = sample_coeffs(as_split(cp), basis, cfg, keep_record=True)
+        done = sample_coeffs(as_split(center(cp)), basis, cfg)
+        assert raw.shot_record.pos.drift_a == -cp.jump_mean
+        assert np.array_equal(raw.z, done.z)
+        Z_raw, _, _ = sample_coeffs_batch(as_split(cp), basis, cfg, 5)
+        Z_done, _, _ = sample_coeffs_batch(as_split(center(cp)), basis, cfg, 5)
+        assert np.array_equal(Z_raw, Z_done)
+
+    @staticmethod
+    def _h1_route(model, basis, cfg, idx):
+        # Jump sum of the kept record compensated by the series centering at
+        # the truncation level instead of the drift vector.
+        s = sample_coeffs(as_split(model), basis, cfg, sample_index=idx, keep_record=True)
+        rec = s.shot_record.pos
+        tail = center(model).tail_pos
+        stop = gamma_stop_level(tail, basis.T, cfg)
+        return s.z, shot_sum(basis, rec.jump_sizes, rec.uniforms) - centering_vector(tail, basis, stop, cfg)
 
     def test_drift_and_centering_routes_agree_finite_activity(self, cp_centered):
         # Same stream, h identically 0 vs series centering at the truncation
@@ -189,22 +210,18 @@ class TestSamplers:
         basis = KleBasis(T=2.0, d=8, alpha=cp_centered.alpha)
         cfg = ShotConfig(seed=9)
         for idx in range(6):
-            a = sample_coeffs_finite_variation(cp_centered, basis, cfg, sample_index=idx)
-            b = sample_coeffs_centered(cp_centered, basis, cfg, sample_index=idx)
-            assert np.max(np.abs(a.z - b.z)) < 1e-12
+            a, b = self._h1_route(cp_centered, basis, cfg, idx)
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_composite_route_equals_centering_route_for_gamma(self):
         # At the default cutoff the residual tail mass is ~1e-20, so the
         # drift form and the centering form coincide to the last bit.
         g = make_gamma(1.0, 1.0)
-        gs = as_split(g)
-        gc = center(g)
         basis = KleBasis(T=1.0, d=5, alpha=g.alpha)
         cfg = ShotConfig(seed=13)
         for idx in range(4):
-            a = sample_coeffs(gs, basis, cfg, sample_index=idx)
-            b = sample_coeffs_centered(gc, basis, cfg, sample_index=idx)
-            assert np.max(np.abs(a.z - b.z)) < 1e-12
+            a, b = self._h1_route(g, basis, cfg, idx)
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_term_counts_near_expected_level(self, vg):
         basis = KleBasis(T=1.0, d=2, alpha=vg.alpha)
@@ -244,13 +261,15 @@ class TestBatchSampler:
 class TestExtendDimension:
     def test_extension_matches_fresh_run_bitwise(self, vg):
         cfg = ShotConfig(seed=31)
-        b5 = KleBasis(T=1.0, d=5, alpha=vg.alpha)
         b25 = KleBasis(T=1.0, d=25, alpha=vg.alpha)
-        small = sample_coeffs(vg, b5, cfg, sample_index=2, keep_record=True)
-        grown = extend_dimension(small, 25)
-        fresh = sample_coeffs(vg, b25, cfg, sample_index=2)
-        assert np.array_equal(grown.z, fresh.z)
-        assert np.array_equal(grown.z[:5], small.z)
+        for idx in (2, 3):
+            fresh = sample_coeffs(vg, b25, cfg, sample_index=idx)
+            for d in (1, 5):
+                small = sample_coeffs(vg, KleBasis(T=1.0, d=d, alpha=vg.alpha), cfg,
+                                      sample_index=idx, keep_record=True)
+                grown = extend_dimension(small, 25)
+                assert np.array_equal(grown.z, fresh.z)
+                assert np.array_equal(grown.z[:d], small.z)
 
     def test_same_dimension_is_identity(self, vg):
         cfg = ShotConfig(seed=31)
@@ -273,6 +292,30 @@ class TestExtendDimension:
         assert small.shot_record is None
         with pytest.raises(ValueError):
             extend_dimension(small, 25)
+
+
+class TestOneKernel:
+    """Batch rows, single samples and grown samples come from one kernel."""
+
+    @pytest.fixture(scope="class")
+    def vg_gauss(self, vg):
+        # The only model in the suite that combines jumps with a Gaussian part.
+        return SplitModel("vg+gauss", vg.pos, vg.neg, gaussian_sigma2=0.5)
+
+    @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 10**6),
+           chunk=st.integers(1, 4), d=st.integers(1, 12), extra=st.integers(1, 20))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_single_and_extension_agree(self, vg_gauss, seed, start, chunk, d, extra):
+        cfg = ShotConfig(seed=seed)
+        basis = KleBasis(T=1.0, d=d, alpha=vg_gauss.alpha)
+        wide = KleBasis(T=1.0, d=d + extra, alpha=vg_gauss.alpha)
+        Z, n_pos, n_neg = sample_coeffs_batch(vg_gauss, basis, cfg, 3, start_index=start, chunk=chunk)
+        for j in range(3):
+            s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j, keep_record=True)
+            assert np.array_equal(Z[j], s.z)
+            assert (n_pos[j], n_neg[j]) == (s.n_terms_pos, s.n_terms_neg)
+            fresh = sample_coeffs(vg_gauss, wide, cfg, sample_index=start + j)
+            assert np.array_equal(extend_dimension(s, d + extra).z, fresh.z)
 
 
 class TestCsvOutput:
