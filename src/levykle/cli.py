@@ -8,7 +8,9 @@ worker count: samples are generated on per-index derived streams and
 aggregated in fixed chunk order with compensated summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
-configuration error.
+configuration error, 3 when a series needs more terms than ``max_terms``
+allows (``TruncationCapError``; raised before any draw when the truncation
+level, the expected term count, already exceeds the cap).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .basis import KleBasis, reconstruct, variance_capture
 from .models import SplitModel, model_from_config
-from .shotnoise import ShotConfig, sample_coeffs, sample_coeffs_batch
+from .shotnoise import ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch
 from .special import build_e1_inverse, default_e1_inverse, exp_integral_e1
 from .validation import run_validation
 
@@ -238,6 +240,8 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
     draws (nested in d), so curves for different d differ only by the extra
     terms, not by sampling noise.
     """
+    if cfg.n_paths < 2:
+        raise ConfigError(f"mc-mean needs at least 2 paths for a standard error, got {cfg.n_paths}")
     model = cfg.build_model()
     shot = cfg.shot_config()
     d_max = max(cfg.d_list)
@@ -414,6 +418,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TruncationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

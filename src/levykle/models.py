@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .special import (
+    MonotoneInverseTable,
     QuadratureError,
     default_e1_inverse,
     exp_integral_e1,
-    invert_monotone,
     quad,
 )
 
@@ -64,6 +64,12 @@ _SMALL_JUMP_WINDOW = (1e-10, 1.0)
 _LARGE_JUMP_WINDOW = (1.0, 1e6)
 _CONDITION_RTOL = 1e-8
 _CONDITION_BOUND = 1e12
+
+# x-range and point count of the log grid behind from_density's inverse
+# table; the log-log interpolant round-trips exp(-x)/x, 2 exp(-x) and
+# exp(-x) x^-1.5 to about 1e-9.
+_DENSITY_TABLE_X = (1e-12, 500.0)
+_DENSITY_TABLE_POINTS = 4000
 
 
 class ModelConditionError(ValueError):
@@ -342,15 +348,17 @@ def from_density(
     cutoff: str = CUTOFF_H0,
     psi: Callable | None = None,
     g0: float | None = None,
-    jump_bracket: tuple[float, float] = (1e-12, 1e4),
 ) -> LevyModel:
     """Register a positive-jump model from its Levy density alone.
 
-    The tail integral is computed by quadrature and its inverse by bracketed
-    root finding; closed-form factories should be preferred when available.
-    Densities positive only on a sub-interval are tolerated through the same
-    clamping convention the lookup tables use (queries beyond the tail range
-    return boundary values).
+    The tail integral g is computed by quadrature. Its inverse is a
+    ``MonotoneInverseTable`` built once in log-log coordinates (log g against
+    log x) on a log grid of x over ``_DENSITY_TABLE_X``, where g comes from
+    per-interval quadratures summed from the right, so no single integral
+    spans a singularity at zero; grid points where g vanishes are dropped.
+    Arguments at or above g(0) invert to 0, and arguments beyond the grid to
+    its end abscissae, so densities positive only on a sub-interval are
+    tolerated. Closed-form factories should be preferred when available.
     """
     _check_conditions(density, cutoff, name)
     jump_mean = quad(lambda x: x * density(x), 0.0, math.inf, rtol=1e-10)
@@ -359,10 +367,14 @@ def from_density(
     tail_above_one = quad(density, 1.0, math.inf, rtol=1e-10)
 
     def _g_scalar(v, _d=density, _t=tail_above_one):
-        # Split at 1 so near-singular densities integrate cleanly.
+        # Decade by decade up to 1, then the tail above 1, so no single
+        # quadrature spans a singularity at zero; relative tolerance only,
+        # so small tails keep their digits.
         if v >= 1.0:
-            return quad(_d, v, math.inf, rtol=1e-9)
-        return quad(_d, v, 1.0, rtol=1e-9) + _t
+            return quad(_d, v, math.inf, rtol=1e-9, atol=0.0)
+        edges = np.geomspace(v, 1.0, math.ceil(-math.log10(v)) + 1)
+        return math.fsum(quad(_d, lo, hi, rtol=1e-9, atol=0.0)
+                         for lo, hi in zip(edges[:-1], edges[1:])) + _t
 
     def g(x, _f=_g_scalar):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -379,21 +391,22 @@ def from_density(
     else:
         g0_val = float(g0)
 
-    def g_inv(y, _g=g, _b=jump_bracket, _g0=g0_val):
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(ys)
-        hi_val = float(_g(_b[0]))
-        lo_val = float(_g(_b[1]))
-        for i, v in enumerate(ys):
-            if v >= _g0:
-                out[i] = 0.0
-            elif v > hi_val:
-                out[i] = _b[0]
-            elif v < lo_val:
-                out[i] = _b[1]
-            else:
-                out[i] = invert_monotone(_g, v, _b, rtol=1e-10)
-        return out if np.asarray(y).ndim else float(out[0])
+    xs = np.logspace(*np.log10(_DENSITY_TABLE_X), _DENSITY_TABLE_POINTS)
+    pieces = [quad(density, lo, hi, rtol=1e-10, atol=0.0) for lo, hi in zip(xs[:-1], xs[1:])]
+    pieces.append(quad(density, xs[-1], math.inf, rtol=1e-10, atol=0.0))
+    g_grid = np.cumsum(pieces[::-1])[::-1]
+    keep = g_grid > 0.0
+    keep[:-1] &= g_grid[:-1] > g_grid[1:]
+    log_g, log_x = np.log(g_grid[keep])[::-1], np.log(xs[keep])[::-1]
+    table = MonotoneInverseTable(breakpoints=log_g, values=log_x,
+                                 domain_lo=log_g[0], domain_hi=log_g[-1])
+
+    def g_inv(y, _t=table, _g0=g0_val):
+        ys = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_y = np.clip(np.log(ys), _t.domain_lo, _t.domain_hi)
+        out = np.where(ys >= _g0, 0.0, np.exp(_t(log_y)))
+        return out if out.ndim else float(out)
 
     def inverse_integral(Y, _gi=g_inv, _g0=g0_val):
         Yc = min(float(Y), _g0)

@@ -8,6 +8,10 @@ finite-activity coefficients are integrated piecewise-exactly from the jump
 times of a simulated path using antiderivatives written out locally. The
 only ingredient shared with the samplers is the tail inverse g^{-1}, which
 is pinned separately by roundtrip tests.
+
+The series oracles take streams built anywhere, so they validate them:
+strictly increasing arrivals, matched uniforms in [0, 1], and a level that
+reaches the oracle's own truncation level (else ``TruncationCapError``).
 """
 
 from __future__ import annotations
@@ -77,6 +81,22 @@ def empirical_cf(samples, z) -> complex:
     return complex(np.exp(1j * (Z @ zz)).mean())
 
 
+def _arrivals_below(stream: ArrivalStream, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stream's arrivals below ``stop`` and their uniforms, once the stream is checked."""
+    gammas = np.asarray(stream.gammas, dtype=float)
+    uniforms = np.asarray(stream.uniforms, dtype=float)
+    if gammas.ndim != 1 or gammas.shape != uniforms.shape:
+        raise ValueError("stream arrivals and uniforms must be 1-d arrays of equal length")
+    if gammas.size and not np.all(np.diff(gammas) > 0.0):
+        raise ValueError("arrival levels must be strictly increasing")
+    if uniforms.size and (uniforms.min() < 0.0 or uniforms.max() > 1.0):
+        raise ValueError("uniforms must lie in [0, 1]")
+    if not stream.level >= stop:
+        raise TruncationCapError(len(gammas), float(stream.level), stop)
+    n = int(np.searchsorted(gammas, stop, side="left"))
+    return gammas[:n], uniforms[:n]
+
+
 def direct_series_subordinator(
     model: LevyModel,
     T: float,
@@ -89,19 +109,15 @@ def direct_series_subordinator(
     Evaluates sum_i g_inv(Gamma_i / T) 1(T U_i < t) with the same truncation
     level the coefficient samplers use, making it a distributional oracle for
     the expansion at matching parameters. ``t`` may be a scalar or an array.
-    The stream must extend beyond the truncation level.
+    The stream's level must reach the truncation level.
     """
     if model.tail_pos is None:
         raise ValueError("direct series requires a positive-jump model")
     if cfg is None:
         cfg = ShotConfig(seed=0)
-    stop = gamma_stop_level(model.tail_pos, T, cfg)
-    gammas = stream.gammas
-    n = int(np.searchsorted(gammas, stop, side="left"))
-    if n >= len(gammas):
-        raise TruncationCapError(len(gammas), float(gammas[-1]), stop)
-    sizes = np.atleast_1d(np.asarray(model.tail_pos.g_inv(gammas[:n] / T), dtype=float))
-    times = T * stream.uniforms[:n]
+    gammas, uniforms = _arrivals_below(stream, gamma_stop_level(model.tail_pos, T, cfg))
+    sizes = np.atleast_1d(np.asarray(model.tail_pos.g_inv(gammas / T), dtype=float))
+    times = T * uniforms
     tt = np.asarray(t, dtype=float)
     flat = np.atleast_1d(tt)
     vals = np.array([float(sizes[times < ti].sum()) for ti in flat])
@@ -117,19 +133,16 @@ def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream,
     stream, centers the path by its mean rate m t, and integrates it against
     each basis function: exactly per piece when ``grid_n`` is 0 (the path is
     constant between jumps, so antiderivatives of sin suffice), or by
-    trapezoidal quadrature on a ``grid_n``-point grid otherwise.
+    trapezoidal quadrature on a ``grid_n``-point grid otherwise. The
+    stream's level must reach T g(0).
     """
     tail = model.tail_pos
     if tail is None or not math.isfinite(tail.g0):
         raise ValueError("brute-force integration requires a finite-activity positive-jump model")
     T = basis.T
-    stop = T * tail.g0
-    gammas = stream.gammas
-    n = int(np.searchsorted(gammas, stop, side="left"))
-    if n >= len(gammas):
-        raise TruncationCapError(len(gammas), float(gammas[-1]), stop)
-    sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas[:n] / T), dtype=float))
-    times = T * stream.uniforms[:n]
+    gammas, uniforms = _arrivals_below(stream, T * tail.g0)
+    sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas / T), dtype=float))
+    times = T * uniforms
     m = model.jump_mean
     omega = math.pi * (np.arange(1, basis.d + 1) - 0.5) / T
     root = math.sqrt(2.0 / T)
@@ -144,7 +157,7 @@ def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream,
     cos_T = np.cos(omega * T)
     sin_T = np.sin(omega * T)
     jump_term = np.zeros(basis.d)
-    if n:
+    if len(sizes):
         jump_term = root / omega * ((np.cos(np.outer(times, omega)) - cos_T[None, :]) * sizes[:, None]).sum(axis=0)
     ramp = root * (sin_T / omega**2 - T * cos_T / omega)
     return jump_term - m * ramp

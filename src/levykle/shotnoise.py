@@ -23,12 +23,16 @@ batch rows, single samples and grown samples agree bitwise by construction.
 ``centering_vector`` gives the h1 centering C at a truncation level; on
 finite-activity models the jump sum minus C equals the h0 result.
 
-Reproducibility: every (sample_index, part) pair receives its own generator,
-derived as PCG64(SeedSequence(seed, spawn_key=(sample_index, part))) with the
-exponential and uniform streams split one level further. Draw sizes grow in
-fixed blocks so a longer stream always extends a shorter one element for
-element, which makes coefficient vectors bitwise reproducible under dimension
-growth and under any partitioning of samples across workers.
+Reproducibility: one routine, ``arrival_stream``, draws every arrival
+stream, the samplers' and the validation suites' alike: the arrivals
+strictly below a level, with matched uniforms. Every (sample_index, part)
+pair receives its own stream, derived from
+SeedSequence(seed, spawn_key=(sample_index, part)) with the exponential and
+uniform generators split one level further. Exponentials are drawn in
+doubling blocks, so a stream up to a higher level extends a stream up to a
+lower one element for element, which makes coefficient vectors bitwise
+reproducible under dimension growth, under a raised cutoff and under any
+partitioning of samples across workers.
 """
 
 from __future__ import annotations
@@ -69,23 +73,32 @@ PART_NEG = 1
 PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
+_MAX_TERMS = 1_000_000
+_CENTERING_RTOL = 1e-10
 
 
 class TruncationCapError(RuntimeError):
-    """The arrival stream hit the safety cap before the truncation level.
+    """An arrival stream cannot cover the truncation level ``gamma_stop``.
 
-    Carries partial diagnostics: terms drawn, last arrival level reached, and
-    the level that was requested.
+    Either more than ``max_terms`` arrivals lie below it (``n_drawn`` is 0
+    when the level, the expected term count, exceeds the cap before any
+    draw), or an oracle got a stream ending at ``gamma_reached`` below it
+    (``max_terms`` None).
     """
 
-    def __init__(self, n_drawn: int, gamma_reached: float, gamma_stop: float):
-        super().__init__(
-            f"truncation level {gamma_stop:g} not reached after {n_drawn} terms "
-            f"(last arrival {gamma_reached:g})"
-        )
+    def __init__(self, n_drawn: int, gamma_reached: float, gamma_stop: float,
+                 max_terms: int | None = None):
+        if max_terms is None:
+            message = (f"arrival stream of {n_drawn} terms ends at level {gamma_reached:g}, "
+                       f"below the truncation level {gamma_stop:g}")
+        else:
+            message = (f"truncation level {gamma_stop:g} needs more than max_terms={max_terms} terms "
+                       f"({gamma_stop:g} expected, {n_drawn} drawn)")
+        super().__init__(message)
         self.n_drawn = n_drawn
         self.gamma_reached = gamma_reached
         self.gamma_stop = gamma_stop
+        self.max_terms = max_terms
 
 
 @dataclass(frozen=True)
@@ -95,14 +108,12 @@ class ShotConfig:
     ``gamma_cutoff`` scales the truncation level for gamma-type tails
     (stop once Gamma_i / (T c) exceeds it); ``jump_floor`` is the generic
     alternative, an absolute jump size below which the series is cut.
-    ``max_terms`` caps the stream length; ``centering_quadrature_rtol`` is
-    used when a tail has no closed-form radial primitive.
+    ``max_terms`` caps the number of terms of each part's series.
     """
 
     seed: int
     gamma_cutoff: float = 45.47
-    max_terms: int = 1_000_000
-    centering_quadrature_rtol: float = 1e-10
+    max_terms: int = _MAX_TERMS
     jump_floor: float | None = None
 
     def __post_init__(self):
@@ -114,19 +125,15 @@ class ShotConfig:
 
 @dataclass(frozen=True, eq=False)
 class ArrivalStream:
-    """A reproducible Poisson arrival stream with matched uniforms."""
+    """Poisson arrivals ``gammas`` strictly below ``level`` with matched uniforms.
 
-    increments: np.ndarray
+    Built by ``arrival_stream`` without checks; the oracles, which also take
+    streams built elsewhere, validate the record they are given.
+    """
+
     gammas: np.ndarray
     uniforms: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.increments) == len(self.gammas) == len(self.uniforms)):
-            raise ValueError("stream components must have equal length")
-        if self.gammas.size and not np.all(np.diff(self.gammas) > 0.0):
-            raise ValueError("arrival levels must be strictly increasing")
-        if self.uniforms.size and (self.uniforms.min() < 0.0 or self.uniforms.max() > 1.0):
-            raise ValueError("uniforms must lie in [0, 1]")
+    level: float
 
 
 def derive_rng(seed, *labels) -> np.random.Generator:
@@ -137,58 +144,36 @@ def derive_rng(seed, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _stream_rngs(seed) -> tuple[np.random.Generator, np.random.Generator]:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    exp_ss, uni_ss = ss.spawn(2)
-    return (
-        np.random.Generator(np.random.PCG64(exp_ss)),
-        np.random.Generator(np.random.PCG64(uni_ss)),
-    )
-
-
-def arrival_stream(seed, cap: int) -> ArrivalStream:
-    """Draw ``cap`` arrivals Gamma_1 < ... < Gamma_cap with matched uniforms.
+def arrival_stream(seed, level: float, max_terms: int = _MAX_TERMS) -> ArrivalStream:
+    """The arrivals Gamma_1 < Gamma_2 < ... strictly below ``level``, with uniforms.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence`` (the
-    samplers use per-(sample, part) sequences). Same seed, same stream,
-    bitwise.
+    samplers use per-(sample, part) sequences); same seed, same stream,
+    bitwise. Exponentials are drawn in doubling blocks, so the stream up to a
+    higher level extends the stream up to a lower one element for element;
+    uniforms are drawn in one call once the count is known. Raises
+    ``TruncationCapError`` when more than ``max_terms`` arrivals lie below
+    ``level``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    exp_rng, uni_rng = _stream_rngs(seed)
-    increments = exp_rng.standard_exponential(int(cap))
-    return ArrivalStream(
-        increments=increments,
-        gammas=np.cumsum(increments),
-        uniforms=uni_rng.random(int(cap)),
-    )
-
-
-def _draw_until(seed, gamma_stop: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrivals below ``gamma_stop`` plus matched uniforms, grown in blocks.
-
-    Blocks double so the exponential stream is consumed in a reproducible
-    prefix-stable order; uniforms are drawn in a single call once the
-    retained count is known.
-    """
-    exp_rng, uni_rng = _stream_rngs(seed)
+    if not level > 0.0:
+        raise ValueError("level must be positive")
+    exp_rng, uni_rng = derive_rng(seed, 0), derive_rng(seed, 1)
     blocks: list[np.ndarray] = []
     block = _FIRST_BLOCK
     n_drawn = 0
     while True:
         blocks.append(exp_rng.standard_exponential(block))
         n_drawn += block
-        increments = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        gammas = np.cumsum(increments)
-        if gammas[-1] > gamma_stop:
+        gammas = np.cumsum(np.concatenate(blocks) if len(blocks) > 1 else blocks[0])
+        if gammas[-1] > level:
             break
         if n_drawn >= max_terms:
-            raise TruncationCapError(n_drawn, float(gammas[-1]), gamma_stop)
+            raise TruncationCapError(n_drawn, float(gammas[-1]), level, max_terms)
         block *= 2
-    n = int(np.searchsorted(gammas, gamma_stop, side="left"))
+    n = int(np.searchsorted(gammas, level, side="left"))
     if n > max_terms:
-        raise TruncationCapError(n, float(gammas[min(n, len(gammas)) - 1]), gamma_stop)
-    return gammas[:n], uni_rng.random(n)
+        raise TruncationCapError(n, float(gammas[n - 1]), level, max_terms)
+    return ArrivalStream(gammas[:n], uni_rng.random(n), level)
 
 
 def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -222,13 +207,13 @@ def gamma_stop_level(tail: TailIntegral, T: float, cfg: ShotConfig) -> float:
     )
 
 
-def centering_vector(tail: TailIntegral, basis: KleBasis, level: float, cfg: ShotConfig) -> np.ndarray:
+def centering_vector(tail: TailIntegral, basis: KleBasis, level: float) -> np.ndarray:
     """Deterministic series centering C at arrival level ``level``.
 
     Componentwise sqrt(2T) (-1)^{k+1} / (pi^2 (k-1/2)^2) times the radial
     integral of the jump sizes up to the level, int_0^level g_inv(r/T) dr
     restricted to r < T g(0). Uses the tail's closed-form primitive when
-    present, quadrature at the configured tolerance otherwise.
+    present, quadrature otherwise.
     """
     if level <= 0.0:
         return np.zeros(basis.d)
@@ -237,7 +222,7 @@ def centering_vector(tail: TailIntegral, basis: KleBasis, level: float, cfg: Sho
         radial = basis.T * tail.inverse_integral(y_top)
     else:
         radial = basis.T * quad(
-            lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=cfg.centering_quadrature_rtol
+            lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=_CENTERING_RTOL
         )
     return (
         math.sqrt(2.0 * basis.T)
@@ -298,7 +283,9 @@ def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
 
     One ``(label, sign, centered tail, stop level, drift a, drift vector)``
     tuple per jump part, and the Gaussian scale (None without a Gaussian
-    part). Jump parts must follow the h0 convention.
+    part). Jump parts must follow the h0 convention. A stop level is the
+    part's expected term count, so one above ``cfg.max_terms`` raises
+    ``TruncationCapError`` here, before anything is drawn.
     """
     parts = []
     for label, sign, part in ((PART_POS, 1.0, model.pos), (PART_NEG, -1.0, model.neg)):
@@ -309,6 +296,8 @@ def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
                              "the samplers expect h0")
         c = center(part)
         stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
+        if stop > cfg.max_terms:
+            raise TruncationCapError(0, 0.0, stop, cfg.max_terms)
         parts.append((label, sign, c.tail_pos, stop, c.triple.a, basis.drift_vector(c.triple.a)))
     return parts, _gaussian_scale(basis, float(model.gaussian_sigma2))
 
@@ -341,20 +330,20 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
         idx = range(start_index + lo, start_index + min(lo + chunk, n_samples))
         for label, sign, tail, stop, drift_a, drift in parts:
             draws = [
-                _draw_until(np.random.SeedSequence(int(cfg.seed), spawn_key=(int(i), label)), stop, cfg.max_terms)
+                arrival_stream(np.random.SeedSequence(int(cfg.seed), spawn_key=(int(i), label)), stop, cfg.max_terms)
                 for i in idx
             ]
-            n = np.array([len(g) for g, _ in draws])
+            n = np.array([len(s.gammas) for s in draws])
             sizes_flat = (
-                np.atleast_1d(np.asarray(tail.g_inv(np.concatenate([g for g, _ in draws]) / basis.T), dtype=float))
+                np.atleast_1d(np.asarray(tail.g_inv(np.concatenate([s.gammas for s in draws]) / basis.T), dtype=float))
                 if n.sum() else np.empty(0)
             )
             offsets = np.concatenate(([0], np.cumsum(n)))
-            for j, (gammas, uniforms) in enumerate(draws):
+            for j, s in enumerate(draws):
                 x = sizes_flat[offsets[j]:offsets[j + 1]]
-                _add_part(Z[lo + j], basis, sign, drift, x, uniforms)
+                _add_part(Z[lo + j], basis, sign, drift, x, s.uniforms)
                 if keep:
-                    kept[lo + j][label] = PartRecord(gammas, uniforms, x, drift_a)
+                    kept[lo + j][label] = PartRecord(s.gammas, s.uniforms, x, drift_a)
             counts[label, lo:lo + len(idx)] = n
         for j, i in enumerate(idx):
             _add_gaussian(Z[lo + j], gauss_scale, cfg.seed, i)

@@ -10,7 +10,7 @@ This module provides the numerical kernel shared by the rest of the package:
   interpolation and one Newton polish step, the workhorse behind jump-size
   generation for gamma-type tail integrals.
 * ``invert_monotone`` -- generic bracketed inversion of a strictly decreasing
-  function, used as a fallback when no table is configured.
+  function, used to place the endpoints of the E1 table.
 * ``quad`` -- adaptive quadrature with componentwise complex support, used by
   every oracle.
 
@@ -183,7 +183,7 @@ class MonotoneInverseTable:
                 raise ValueError(
                     f"breakpoint spacing {gap:.6g} exceeds bound {self.spacing_bound:.6g}"
                 )
-        if not (self.domain_lo <= bp[0] and bp[-1] <= self.domain_hi * (1 + 1e-12)):
+        if not (self.domain_lo <= bp[0] and bp[-1] <= self.domain_hi + 1e-12 * abs(self.domain_hi)):
             raise ValueError("breakpoints must cover [domain_lo, domain_hi]")
 
     @property

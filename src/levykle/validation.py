@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .basis import KleBasis
-from .models import LevyModel, SplitModel, TailIntegral, center
+from .models import SplitModel, TailIntegral, center
 from .oracles import coeff_char_exponent, ks_two_sample, mixed_fourth_cumulant
 from .shotnoise import ShotConfig, arrival_stream, gamma_stop_level, sample_coeffs_batch
 
@@ -111,22 +111,13 @@ def _direct_terminal_samples(tail: TailIntegral, T: float, n: int, seed: int,
 
     Uses the direct series with the same truncation level as the samplers;
     at t = T every retained jump counts, so the value is the plain sum of
-    inverted arrival levels. Streams redraw at doubled caps (prefix-stable)
-    if an arrival sequence ends before the truncation level.
+    inverted arrival levels.
     """
     stop = gamma_stop_level(tail, T, cfg)
-    cap = int(stop + 8.0 * math.sqrt(stop + 1.0) + 64.0)
-    gam_list = []
-    for i in range(n):
-        ss = np.random.SeedSequence(seed, spawn_key=(i, part_label))
-        c = cap
-        while True:
-            stream = arrival_stream(ss, c)
-            if stream.gammas[-1] > stop:
-                break
-            c *= 2
-        k = int(np.searchsorted(stream.gammas, stop, side="left"))
-        gam_list.append(stream.gammas[:k])
+    gam_list = [
+        arrival_stream(np.random.SeedSequence(seed, spawn_key=(i, part_label)), stop, cfg.max_terms).gammas
+        for i in range(n)
+    ]
     counts = np.array([len(g) for g in gam_list])
     total = int(counts.sum())
     if total == 0:

@@ -163,6 +163,26 @@ class TestMcMean:
             b = read(tmp_path / "w3" / f"levykle_mcmean_d{d}.csv")
             assert a == b
 
+    def test_single_path_is_config_error(self, tmp_path, capsys):
+        # One path has no spread, so its standard error would read 0.
+        rc = main(["mc-mean", "--model", "variance_gamma", "--n-paths", "1",
+                   "--d-list", "3", "--grid-n", "3", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 paths" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_term_cap_exits_three_before_drawing(self, tmp_path, capsys):
+        # gamma(c=1e5) truncates at 45.47 * 1e5 arrivals, above max_terms.
+        rc = main(["mc-mean", "--model", "gamma", "--model-param", "c=100000",
+                   "--n-paths", "2", "--d-list", "3", "--grid-n", "3",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "4.547e+06" in err and "max_terms=1000000" in err and "0 drawn" in err
+        assert not list(tmp_path.iterdir())
+
     def test_cesaro_mode_runs(self, tmp_path):
         assert main(["mc-mean", "--model", "brownian", "--mode", "cesaro",
                      "--seed", "5", "--n-paths", "50", "--d-list", "4",

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from levykle.basis import KleBasis
 from levykle.models import (
     ModelConditionError,
+    as_split,
     center,
     from_density,
     make_brownian,
@@ -17,7 +19,9 @@ from levykle.models import (
     model_from_config,
     psi_second_derivative,
 )
+from levykle.shotnoise import ShotConfig, sample_coeffs_batch
 from levykle.special import quad
+from levykle.validation import roundtrip_suite
 
 # Integral of the tabulated E1 inverse from 0 to 3, computed two independent
 # ways (closed form and nested quadrature) with mpmath.
@@ -192,6 +196,19 @@ class TestFromDensity:
         ref = make_cp_exponential(2.0, 1.0)
         for z in (0.2, 0.9):
             assert model.psi(z) == pytest.approx(ref.psi(z), rel=1e-7)
+
+    def test_infinite_activity_density_samples(self):
+        # The case from_density exists for: an infinite-activity density with
+        # a singularity at zero, truncated by an absolute jump floor.
+        model = as_split(from_density("s15", lambda x: math.exp(-x) * x**-1.5))
+        assert math.isinf(model.pos.tail_pos.g0)
+        assert all(c["passed"] for c in roundtrip_suite(model))
+        basis = KleBasis(T=1.0, d=4, alpha=model.alpha)
+        cfg = ShotConfig(seed=1, jump_floor=1e-4)
+        Z, n_pos, _ = sample_coeffs_batch(model, basis, cfg, 20)
+        stop = float(model.pos.tail_pos.g(1e-4))
+        assert np.all(np.isfinite(Z))
+        assert abs(n_pos.mean() - stop) < 4.0 * math.sqrt(stop / len(n_pos))
 
     def test_square_integrability_enforced(self):
         # x^-3 tail mass makes x^2 pi(x) non-integrable at infinity.

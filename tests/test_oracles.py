@@ -138,9 +138,9 @@ class TestBruteForce:
     def test_jump_free_path_is_pure_ramp(self):
         # A stream whose first arrival already exceeds T g0 produces zero
         # jumps, so only the -m t ramp integrates against the basis.
-        stream = arrival_stream(0, 64)
-        stale = stream.gammas + 1.1 * self.basis.T * self.cp.tail_pos.g0
-        shifted = replace(stream, gammas=stale)
+        stream = arrival_stream(0, 64.0)
+        shift = 1.1 * self.basis.T * self.cp.tail_pos.g0
+        shifted = replace(stream, gammas=stream.gammas + shift, level=stream.level + shift)
         m = self.cp.jump_mean
         got = brute_force_coeffs(self.cp, self.basis, shifted)
         assert np.allclose(got, self.basis.drift_vector(-m), atol=1e-14)
@@ -150,8 +150,7 @@ class TestBruteForce:
         stream = arrival_stream(7, 64)
         gam = np.concatenate(([0.4 * T * g0], stream.gammas + 2.0 * T * g0))
         uni = np.concatenate(([0.3], stream.uniforms))
-        one = replace(stream, gammas=gam[:64], uniforms=uni[:64],
-                      increments=np.diff(gam[:64], prepend=0.0))
+        one = replace(stream, gammas=gam[:64], uniforms=uni[:64])
         x = float(self.cp.tail_pos.g_inv(0.4 * g0))
         m = self.cp.jump_mean
         want = x * self.basis.u_vector(0.3 * T) + self.basis.drift_vector(-m)
@@ -159,7 +158,7 @@ class TestBruteForce:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_agrees_with_sampler_on_shared_streams(self):
-        # The oracle's fixed-cap stream on the sampler's own substream extends
+        # A stream to a higher level on the sampler's own substream extends
         # the arrivals the sampler drew, element for element.
         cfg = ShotConfig(seed=0)
         for i in range(20):
@@ -173,6 +172,52 @@ class TestBruteForce:
         exact = brute_force_coeffs(self.cp, self.basis, stream)
         coarse = brute_force_coeffs(self.cp, self.basis, stream, grid_n=20001)
         assert np.max(np.abs(exact - coarse)) < 5e-4
+
+
+class TestStreamChecks:
+    """The series oracles validate the streams handed to them."""
+
+    @staticmethod
+    def _oracles():
+        cp = center(make_cp_exponential(rate=3.0, rho=1.5))
+        basis = KleBasis(T=1.0, d=3, alpha=cp.alpha)
+        return (lambda s: direct_series_subordinator(cp, 1.0, 1.0, s),
+                lambda s: brute_force_coeffs(cp, basis, s))
+
+    def test_accepts_a_drawn_stream(self):
+        for oracle in self._oracles():
+            assert np.all(np.isfinite(oracle(arrival_stream(5, 16.0))))
+
+    def test_rejects_non_increasing_arrivals(self):
+        stream = arrival_stream(5, 16.0)
+        gam = stream.gammas.copy()
+        gam[3] = gam[2]
+        for oracle in self._oracles():
+            with pytest.raises(ValueError, match="increasing"):
+                oracle(replace(stream, gammas=gam))
+
+    def test_rejects_uniforms_outside_unit_interval(self):
+        stream = arrival_stream(5, 16.0)
+        for bad in (-0.1, 1.5):
+            uni = stream.uniforms.copy()
+            uni[1] = bad
+            for oracle in self._oracles():
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    oracle(replace(stream, uniforms=uni))
+
+    def test_rejects_mismatched_lengths(self):
+        stream = arrival_stream(5, 16.0)
+        for oracle in self._oracles():
+            with pytest.raises(ValueError, match="equal length"):
+                oracle(replace(stream, uniforms=stream.uniforms[:-1]))
+
+    def test_rejects_level_below_stop(self):
+        # The stop level is T g0 = 3; a stream to level 2.9 cannot cover it,
+        # even though all its arrivals are valid.
+        for oracle in self._oracles():
+            with pytest.raises(TruncationCapError) as err:
+                oracle(arrival_stream(5, 2.9))
+            assert (err.value.gamma_reached, err.value.gamma_stop) == (2.9, 3.0)
 
 
 class TestKsTwoSample:

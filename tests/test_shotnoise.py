@@ -45,21 +45,26 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
     def test_arrival_stream_shape_and_monotonicity(self):
-        s = arrival_stream(11, 256)
-        assert len(s.gammas) == len(s.uniforms) == 256
-        assert np.all(np.diff(s.gammas) > 0)
+        s = arrival_stream(11, 256.0)
+        assert s.level == 256.0
+        assert len(s.gammas) == len(s.uniforms) > 200
+        assert np.all(np.diff(s.gammas) > 0) and s.gammas[0] > 0 and s.gammas[-1] < 256.0
         assert np.all((s.uniforms >= 0) & (s.uniforms < 1))
 
     def test_arrival_stream_prefix_stability(self):
-        # Growing the cap must extend the stream, never reshuffle it.
-        small = arrival_stream(11, 64)
-        big = arrival_stream(11, 256)
-        assert np.array_equal(small.gammas, big.gammas[:64])
-        assert np.array_equal(small.uniforms, big.uniforms[:64])
+        # Raising the level must extend the stream, never reshuffle it, and
+        # keep every arrival below it.
+        small = arrival_stream(11, 64.0)
+        big = arrival_stream(11, 256.0)
+        n = len(small.gammas)
+        assert np.array_equal(small.gammas, big.gammas[:n])
+        assert np.array_equal(small.uniforms, big.uniforms[:n])
+        assert big.gammas[n] >= 64.0
 
     def test_arrival_stream_rejects_empty(self):
-        with pytest.raises(ValueError):
-            arrival_stream(11, 0)
+        for level in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                arrival_stream(11, level)
 
 
 class TestTruncation:
@@ -82,13 +87,26 @@ class TestTruncation:
             gamma_stop_level(bare, 2.0, ShotConfig(seed=0))
 
     def test_cap_error_carries_context(self):
+        # A stop level is the expected term count: one above max_terms fails
+        # before anything is drawn.
         g = make_gamma(1.0, 1.0)
         basis = KleBasis(T=1.0, d=2, alpha=g.alpha)
         cfg = ShotConfig(seed=3, max_terms=8)
         with pytest.raises(TruncationCapError) as err:
             sample_coeffs(as_split(g), basis, cfg)
         assert err.value.gamma_stop == pytest.approx(45.47)
-        assert err.value.n_drawn >= 8
+        assert (err.value.n_drawn, err.value.max_terms) == (0, 8)
+        assert "45.47" in str(err.value) and "max_terms=8" in str(err.value)
+
+    def test_cap_error_at_draw_time(self):
+        # Stop 99.5 is below the cap of 100, but seed 3 draws 106 arrivals
+        # below it; seed 2 draws exactly 100 and passes.
+        cp = as_split(make_cp_exponential(rate=99.5, rho=1.0))
+        basis = KleBasis(T=1.0, d=2, alpha=cp.alpha)
+        with pytest.raises(TruncationCapError) as err:
+            sample_coeffs(cp, basis, ShotConfig(seed=3, max_terms=100))
+        assert (err.value.n_drawn, err.value.gamma_stop, err.value.max_terms) == (106, 99.5, 100)
+        assert sample_coeffs(cp, basis, ShotConfig(seed=2, max_terms=100)).n_terms_pos == 100
 
     def test_raising_cutoff_leaves_coefficients_unchanged(self):
         # Extra arrivals beyond the default cutoff invert to jumps below the
@@ -130,16 +148,15 @@ class TestCentering:
     def test_zero_level_gives_zero_vector(self):
         g = make_gamma(1.0, 1.0)
         basis = KleBasis(T=1.0, d=3, alpha=1.0)
-        assert np.array_equal(centering_vector(g.tail_pos, basis, 0.0, ShotConfig(seed=0)), np.zeros(3))
+        assert np.array_equal(centering_vector(g.tail_pos, basis, 0.0), np.zeros(3))
 
     def test_closed_form_matches_quadrature_fallback(self):
         g = make_gamma(1.0, 1.0)
         basis = KleBasis(T=1.5, d=4, alpha=1.0)
-        cfg = ShotConfig(seed=0)
         bare = replace(g.tail_pos, inverse_integral=None)
         for level in (0.5, 3.0, 20.0):
-            a = centering_vector(g.tail_pos, basis, level, cfg)
-            b = centering_vector(bare, basis, level, cfg)
+            a = centering_vector(g.tail_pos, basis, level)
+            b = centering_vector(bare, basis, level)
             assert np.allclose(a, b, rtol=1e-8)
 
     def test_saturates_to_drift_of_mean(self, cp_centered):
@@ -148,7 +165,7 @@ class TestCentering:
         cp = make_cp_exponential(3.0, 1.5)
         basis = KleBasis(T=2.0, d=5, alpha=cp.alpha)
         stop = 2.0 * cp.tail_pos.g0
-        c = centering_vector(cp.tail_pos, basis, stop, ShotConfig(seed=0))
+        c = centering_vector(cp.tail_pos, basis, stop)
         assert np.allclose(c, basis.drift_vector(cp.jump_mean), rtol=1e-12)
 
 
@@ -202,7 +219,7 @@ class TestSamplers:
         rec = s.shot_record.pos
         tail = center(model).tail_pos
         stop = gamma_stop_level(tail, basis.T, cfg)
-        return s.z, shot_sum(basis, rec.jump_sizes, rec.uniforms) - centering_vector(tail, basis, stop, cfg)
+        return s.z, shot_sum(basis, rec.jump_sizes, rec.uniforms) - centering_vector(tail, basis, stop)
 
     def test_drift_and_centering_routes_agree_finite_activity(self, cp_centered):
         # Same stream, h identically 0 vs series centering at the truncation
