@@ -45,13 +45,11 @@ from .shotnoise import (
     write_coefficients_csv,
 )
 from .special import (
-    BracketError,
     MonotoneInverseTable,
     QuadratureError,
     build_e1_inverse,
     default_e1_inverse,
     exp_integral_e1,
-    invert_monotone,
     quad,
 )
 from .validation import run_validation
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalStream",
-    "BracketError",
     "CoefficientSample",
     "GeneratingTriple",
     "KleBasis",
@@ -86,7 +83,6 @@ __all__ = [
     "exp_integral_e1",
     "extend_dimension",
     "from_density",
-    "invert_monotone",
     "ks_two_sample",
     "make_brownian",
     "make_cp_exponential",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -90,18 +89,8 @@ class ExperimentConfig:
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
-    """Build the config from the JSON document, then apply flag overrides.
-
-    The default worker count comes from LEVYKLE_WORKERS when set; an explicit
-    config field or flag wins. The count never affects output bytes.
-    """
-    workers_default = 1
-    if os.environ.get("LEVYKLE_WORKERS"):
-        try:
-            workers_default = int(os.environ["LEVYKLE_WORKERS"])
-        except ValueError as exc:
-            raise ConfigError(f"bad LEVYKLE_WORKERS: {exc}") from exc
-    cfg = ExperimentConfig(workers=workers_default)
+    """Build the config from the JSON document, then apply flag overrides."""
+    cfg = ExperimentConfig()
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -293,7 +282,7 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
     """Run the validation suites and emit the JSON report."""
     model = cfg.build_model()
     report = run_validation(model, T=cfg.T, d=max(cfg.d_list), n_samples=cfg.n_paths,
-                            seed=cfg.seed, gamma_cutoff=cfg.gamma_cutoff)
+                            cfg=cfg.shot_config())
     text = json.dumps(report, indent=2)
     if out_path:
         Path(out_path).write_text(text + "\n")
@@ -315,36 +304,46 @@ def cmd_variance_capture(d_list) -> int:
 
 
 def cmd_e1_table(args: argparse.Namespace) -> int:
-    """Dump the E1 inverse table to CSV or npz, or load and verify one."""
+    """Dump the E1 inverse table to CSV or npz, or load and verify one.
+
+    A domain E1 cannot reach, an unwritable destination and an unreadable or
+    malformed table file are configuration errors.
+    """
     if args.action == "dump":
-        try:
-            table = default_e1_inverse() if args.points is None else build_e1_inverse(
-                domain_lo=args.lo, domain_hi=args.hi, n_points=args.points,
-                spacing_bound=args.spacing_bound)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         dest = Path(args.path)
-        if dest.suffix == ".npz":
-            np.savez(dest, x=table.values, e1=table.breakpoints)
-        else:
-            with open(dest, "w") as fh:
-                fh.write("x,E1(x)\n")
-                for x, y in zip(table.values, table.breakpoints):
-                    fh.write(f"{_float_csv(x)},{_float_csv(y)}\n")
+        try:
+            custom = {key: value for key, value in (
+                ("domain_lo", args.lo), ("domain_hi", args.hi), ("n_points", args.points),
+                ("spacing_bound", args.spacing_bound)) if value is not None}
+            table = build_e1_inverse(**custom) if custom else default_e1_inverse()
+            if dest.suffix == ".npz":
+                np.savez(dest, x=table.values, e1=table.breakpoints)
+            else:
+                with open(dest, "w") as fh:
+                    fh.write("x,E1(x)\n")
+                    for x, y in zip(table.values, table.breakpoints):
+                        fh.write(f"{_float_csv(x)},{_float_csv(y)}\n")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot dump table to {dest}: {exc}") from exc
         print(f"wrote {len(table.values)} rows to {dest}")
         return 0
     src = Path(args.path)
-    if not src.exists():
-        raise ConfigError(f"no such table file: {src}")
-    if src.suffix == ".npz":
-        data = np.load(src)
-        xs, ys = np.asarray(data["x"], dtype=float), np.asarray(data["e1"], dtype=float)
-    else:
-        rows = np.loadtxt(src, delimiter=",", skiprows=1, ndmin=2)
-        xs, ys = rows[:, 0], rows[:, 1]
-    resid = max(abs(exp_integral_e1(x) - y) / max(y, 1e-300)
-                for x, y in zip(xs[:: max(1, len(xs) // 64)], ys[:: max(1, len(xs) // 64)]))
-    print(f"loaded {len(xs)} rows from {src}; y-range [{ys.min():.6g}, {ys.max():.6g}]; "
+    try:
+        if src.suffix == ".npz":
+            with np.load(src) as data:
+                xs, ys = np.asarray(data["x"], dtype=float), np.asarray(data["e1"], dtype=float)
+        else:
+            rows = np.loadtxt(src, delimiter=",", skiprows=1, ndmin=2)
+            if rows.shape[1] != 2:
+                raise ValueError(f"expected the 2 columns x,E1(x), got {rows.shape[1]}")
+            xs, ys = rows[:, 0], rows[:, 1]
+        step = max(1, len(xs) // 64)
+        resid = max(abs(exp_integral_e1(x) - y) / max(y, 1e-300)
+                    for x, y in zip(xs[::step], ys[::step]))
+        y_min, y_max = ys.min(), ys.max()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load table {src}: {exc}") from exc
+    print(f"loaded {len(xs)} rows from {src}; y-range [{y_min:.6g}, {y_max:.6g}]; "
           f"max sampled E1 residual {resid:.3g}")
     return 0
 
@@ -364,7 +363,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--prefix")
     p.add_argument("--workers", type=int,
-                   help="thread count (default: LEVYKLE_WORKERS or 1); output is identical for any value")
+                   help="thread count (default 1); output is identical for any value")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,11 +389,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e1-table", help="dump or load the exponential-integral inverse table")
     p.add_argument("action", choices=["dump", "load"])
     p.add_argument("path", help="CSV (x,E1(x)) or .npz file")
-    p.add_argument("--points", type=int, help="table size when dumping a custom build")
-    p.add_argument("--lo", type=float, default=6.226e-22, help="lower y-domain for a custom build")
-    p.add_argument("--hi", type=float, default=45.47, help="upper y-domain for a custom build")
-    p.add_argument("--spacing-bound", type=float, default=0.00231, dest="spacing_bound",
-                   help="maximum allowed gap between tabulated E1 values")
+    p.add_argument("--points", type=int, help="table size for a custom build (default 200000)")
+    p.add_argument("--lo", type=float, help="lower y-domain for a custom build (default 6.226e-22)")
+    p.add_argument("--hi", type=float, help="upper y-domain for a custom build (default 45.47)")
+    p.add_argument("--spacing-bound", type=float, dest="spacing_bound",
+                   help="maximum allowed gap between tabulated E1 values (default 0.00231)")
     return parser
 
 

@@ -138,9 +138,10 @@ class TailIntegral:
 
 @dataclass(frozen=True, eq=False)
 class LevyModel:
-    """A named Levy process: triple, tails, exponent, and moment data.
+    """A named Levy process: triple, jump tail, exponent, and moment data.
 
-    ``psi`` follows E[exp(izX_t)] = exp(-t psi(z)), so psi(0) = 0,
+    Jumps, if any, are positive; ``SplitModel`` pairs two parts for two-sided
+    jumps. ``psi`` follows E[exp(izX_t)] = exp(-t psi(z)), so psi(0) = 0,
     psi(-z) = conj(psi(z)) for real z, and alpha = psi''(0) is the variance
     rate Var(X_t) = alpha * t once the model is centered.
     """
@@ -151,15 +152,6 @@ class LevyModel:
     jump_mean: float
     psi: Callable
     tail_pos: TailIntegral | None = None
-    tail_neg: TailIntegral | None = None
-
-    @property
-    def g0_pos(self) -> float:
-        return self.tail_pos.g0 if self.tail_pos is not None else 0.0
-
-    @property
-    def g0_neg(self) -> float:
-        return self.tail_neg.g0 if self.tail_neg is not None else 0.0
 
     @property
     def mean_rate(self) -> float:

@@ -188,8 +188,6 @@ def _density_parts(model):
     else:
         if model.tail_pos is not None:
             parts.append(model.tail_pos.density)
-        if model.tail_neg is not None:
-            parts.append(model.tail_neg.density)
     return parts
 
 

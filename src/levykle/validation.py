@@ -128,8 +128,8 @@ def _direct_terminal_samples(tail: TailIntegral, T: float, n: int, seed: int,
     return cs[offsets[1:]] - cs[offsets[:-1]]
 
 
-def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, seed: int,
-             cfg: ShotConfig, level: float = 0.01, n_direct: int | None = None) -> list[dict]:
+def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
+             level: float = 0.01, n_direct: int | None = None) -> list[dict]:
     """Two-sample KS between the expansion at t = T and an independent route.
 
     The expansion side is the partial sum S_T = <Z, e(T)>. The reference is
@@ -153,13 +153,13 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, seed: int,
     finite_activity = model.gaussian_sigma2 == 0.0
     atom_s = 0.0
     if model.pos is not None:
-        ref += _direct_terminal_samples(model.pos.tail_pos, T, m, seed, _DIRECT_POS_PART, cfg)
+        ref += _direct_terminal_samples(model.pos.tail_pos, T, m, cfg.seed, _DIRECT_POS_PART, cfg)
         labels.append("+pos")
         c = center(model.pos)
         finite_activity &= math.isfinite(c.tail_pos.g0)
         atom_s += float(basis.drift_vector(c.triple.a) @ e_T)
     if model.neg is not None:
-        ref -= _direct_terminal_samples(model.neg.tail_pos, T, m, seed, _DIRECT_NEG_PART, cfg)
+        ref -= _direct_terminal_samples(model.neg.tail_pos, T, m, cfg.seed, _DIRECT_NEG_PART, cfg)
         labels.append("-neg")
         c = center(model.neg)
         finite_activity &= math.isfinite(c.tail_pos.g0)
@@ -167,7 +167,7 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, seed: int,
     if labels:
         ref -= model.mean_rate * T
     if model.gaussian_sigma2 > 0.0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, _REFERENCE_PART))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(0, _REFERENCE_PART))))
         if labels:
             sd = math.sqrt(model.gaussian_sigma2 * T)
         else:
@@ -279,19 +279,21 @@ def roundtrip_suite(model: SplitModel) -> list[dict]:
     return checks
 
 
-def run_validation(model: SplitModel, T: float, d: int, n_samples: int, seed: int,
-                   gamma_cutoff: float = 45.47, ks_level: float = 0.01,
-                   ks_direct: int | None = 2000) -> dict:
-    """Run all suites on freshly sampled coefficients and bundle a report."""
+def run_validation(model: SplitModel, T: float, d: int, n_samples: int, cfg: ShotConfig,
+                   ks_level: float = 0.01, ks_direct: int | None = 2000) -> dict:
+    """Run all suites on freshly sampled coefficients and bundle a report.
+
+    ``cfg`` is the sampler configuration (seed, truncation, ``jump_floor``);
+    the KS suite's direct series truncates by the same rule.
+    """
     if n_samples < 100:
         raise ValueError("validation needs at least 100 samples")
     basis = KleBasis(T=T, d=d, alpha=model.alpha)
-    cfg = ShotConfig(seed=seed, gamma_cutoff=gamma_cutoff)
     Z, _, _ = sample_coeffs_batch(model, basis, cfg, n_samples)
     checks = []
     checks += moment_suite(model, basis, Z)
     checks += cf_suite(model, basis, Z)
-    checks += ks_suite(model, basis, Z, seed, cfg, level=ks_level, n_direct=ks_direct)
+    checks += ks_suite(model, basis, Z, cfg, level=ks_level, n_direct=ks_direct)
     checks += dependence_suite(model, basis, Z)
     checks += roundtrip_suite(model)
     return {
@@ -299,7 +301,7 @@ def run_validation(model: SplitModel, T: float, d: int, n_samples: int, seed: in
         "T": T,
         "d": d,
         "n_samples": n_samples,
-        "seed": seed,
+        "seed": cfg.seed,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -82,16 +82,6 @@ class TestConfig:
         rc = main(["mc-mean", "--d-list", "5,3", "--output-dir", str(tmp_path)])
         assert rc == 2
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEVYKLE_WORKERS", "3")
-        seen = {}
-        def fake(cfg):
-            seen["workers"] = cfg.workers
-            return 0
-        monkeypatch.setattr(cli, "cmd_mc_mean", fake)
-        assert main(["mc-mean", "--output-dir", str(tmp_path)]) == 0
-        assert seen["workers"] == 3
-
 
 class TestVarianceCapture:
     def test_frozen_values(self, capsys):
@@ -154,14 +144,20 @@ class TestMcMean:
             assert expected == pytest.approx(t * 1.0, rel=1e-12, abs=1e-15)
 
     def test_worker_count_never_changes_bytes(self, tmp_path):
-        base = ["mc-mean", "--model", "variance_gamma", "--seed", "4",
-                "--n-paths", "700", "--d-list", "2,5", "--grid-n", "12"]
-        assert main([*base, "--output-dir", str(tmp_path / "w1"), "--workers", "1"]) == 0
-        assert main([*base, "--output-dir", str(tmp_path / "w3"), "--workers", "3"]) == 0
-        for d in (2, 5):
-            a = read(tmp_path / "w1" / f"levykle_mcmean_d{d}.csv")
-            b = read(tmp_path / "w3" / f"levykle_mcmean_d{d}.csv")
-            assert a == b
+        # Every command that takes --workers, not only mc-mean.
+        for command, n_paths in (("mc-mean", "700"), ("simulate-paths", "3"), ("validate", "200")):
+            outputs = []
+            for workers in ("1", "2", "3"):
+                out = tmp_path / command / f"w{workers}"
+                out.mkdir(parents=True)
+                argv = [command, "--model", "variance_gamma", "--seed", "4",
+                        "--n-paths", n_paths, "--d-list", "2,5", "--grid-n", "12",
+                        "--output-dir", str(out), "--workers", workers]
+                if command == "validate":
+                    argv += ["--report", str(out / "report.json")]
+                assert main(argv) == 0
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert outputs[0] and outputs[0] == outputs[1] == outputs[2], command
 
     def test_single_path_is_config_error(self, tmp_path, capsys):
         # One path has no spread, so its standard error would read 0.
@@ -250,3 +246,25 @@ class TestE1Table:
 
     def test_load_missing_file_is_config_error(self, tmp_path):
         assert main(["e1-table", "load", str(tmp_path / "nope.csv")]) == 2
+
+    # case -> (action, file name, file content or None, extra flags)
+    BAD_INPUTS = {
+        "non-numeric-value": ("load", "t.csv", "x,E1(x)\n1.0,abc\n", []),
+        "one-column": ("load", "t.csv", "x\n1.0\n2.0\n", []),
+        "non-positive-x": ("load", "t.csv", "x,E1(x)\n-1.0,2.0\n", []),
+        "not-an-npz-archive": ("load", "t.npz", "plain text\n", []),
+        "missing-directory": ("dump", "missing/t.csv", None, []),
+        "domain-beyond-e1-range": ("dump", "t.csv", None, ["--hi", "1000"]),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, case):
+        action, name, content, extra = self.BAD_INPUTS[case]
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        assert main(["e1-table", action, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        if action == "dump":
+            assert not path.exists()

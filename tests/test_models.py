@@ -33,7 +33,7 @@ class TestBrownian:
         bm = make_brownian(2.5)
         assert bm.triple.sigma2 == 2.5
         assert bm.triple.a == 0.0
-        assert bm.tail_pos is None and bm.tail_neg is None
+        assert bm.tail_pos is None
         assert bm.alpha == 2.5
         assert bm.mean_rate == 0.0
         assert bm.is_centered

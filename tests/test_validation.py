@@ -1,12 +1,14 @@
 """End-to-end statistical validation reports across the model zoo."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from levykle.models import (
     as_split,
+    from_density,
     make_brownian,
     make_cp_exponential,
     make_gamma,
@@ -23,7 +25,7 @@ def _failures(report):
 class TestRunValidation:
     def test_variance_gamma_report_passes(self):
         report = run_validation(make_variance_gamma(), T=1.0, d=5,
-                                n_samples=4000, seed=11)
+                                n_samples=4000, cfg=ShotConfig(seed=11))
         assert report["passed"], _failures(report)
         names = [c["name"] for c in report["checks"]]
         assert any(n.startswith("moments.") for n in names)
@@ -34,14 +36,14 @@ class TestRunValidation:
 
     def test_brownian_reference_case(self):
         report = run_validation(as_split(make_brownian(1.0)), T=1.0, d=5,
-                                n_samples=4000, seed=12)
+                                n_samples=4000, cfg=ShotConfig(seed=12))
         assert report["passed"], _failures(report)
         null = [c for c in report["checks"] if c["name"] == "dependence.null"]
         assert null and null[0]["detail"].startswith("independent")
 
     def test_gamma_subordinator_report_passes(self):
         report = run_validation(as_split(make_gamma(1.0, 1.0)), T=1.0, d=8,
-                                n_samples=3000, seed=13)
+                                n_samples=3000, cfg=ShotConfig(seed=13))
         assert report["passed"], _failures(report)
 
     def test_compound_poisson_atom_handled(self):
@@ -49,21 +51,29 @@ class TestRunValidation:
         # suite must compare that mass separately instead of letting the
         # continuous-law statistic see two nearby point masses.
         report = run_validation(as_split(make_cp_exponential(2.0, 1.0)),
-                                T=1.0, d=300, n_samples=2000, seed=14)
+                                T=1.0, d=300, n_samples=2000, cfg=ShotConfig(seed=14))
         assert report["passed"], _failures(report)
         names = [c["name"] for c in report["checks"]]
         assert "ks.atom_mass" in names
 
+    def test_infinite_activity_density_validates(self):
+        # from_density has no cutoff scale; the sampler's jump_floor sets
+        # the truncation, and the KS direct series must use the same one.
+        model = as_split(from_density("s15", lambda x: math.exp(-x) * x**-1.5))
+        report = run_validation(model, T=1.0, d=4, n_samples=400,
+                                cfg=ShotConfig(seed=1, jump_floor=1e-4))
+        assert report["passed"], _failures(report)
+
     def test_report_is_json_serializable(self):
         report = run_validation(make_variance_gamma(), T=1.0, d=3,
-                                n_samples=500, seed=15)
+                                n_samples=500, cfg=ShotConfig(seed=15))
         text = json.dumps(report)
         assert json.loads(text)["model"] == report["model"]
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             run_validation(make_variance_gamma(), T=1.0, d=3,
-                           n_samples=99, seed=0)
+                           n_samples=99, cfg=ShotConfig(seed=0))
 
 
 class TestDirectTerminalSamples:
