@@ -178,6 +178,13 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     ``coeffs`` may be a coefficient-sample object (its ``z`` is used) or a
     plain vector of length ``basis.d``.
     """
+    return _reconstruct(basis, coeffs, grid, mode, mean_rate)
+
+
+def _reconstruct(basis: KleBasis, coeffs, grid, mode: str, mean_rate: float,
+                 emat: np.ndarray | None = None) -> PathApproximation:
+    # ``reconstruct`` on a prebuilt ``emat = basis.eigenfunction_matrix(grid)``
+    # when given, so that many paths on one grid share a single matrix.
     z = np.asarray(getattr(coeffs, "z", coeffs), dtype=float)
     if z.shape != (basis.d,):
         raise ValueError(f"coefficient vector has shape {z.shape}, expected ({basis.d},)")
@@ -187,7 +194,8 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     weights = z
     if mode == "cesaro":
         weights = z * (1.0 - np.arange(basis.d) / basis.d)
-    emat = basis.eigenfunction_matrix(tt)
+    if emat is None:
+        emat = basis.eigenfunction_matrix(tt)
     correction = float(mean_rate) * tt
     values = emat @ weights + correction
     return PathApproximation(grid=tt, values=values, mode=mode, d=basis.d, mean_correction=correction)

@@ -105,17 +105,18 @@ def cf_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, scale: float = 0
                    f"max |empirical - exp(-Psi)| over {len(grid)} grid points")]
 
 
-def _direct_terminal_samples(tail: TailIntegral, T: float, n: int, seed: int,
-                             part_label: int, cfg: ShotConfig) -> np.ndarray:
+def _direct_terminal_samples(tail: TailIntegral, T: float, n: int, part_label: int,
+                             cfg: ShotConfig) -> np.ndarray:
     """n independent draws of the uncentered subordinator at t = T.
 
-    Uses the direct series with the same truncation level as the samplers;
-    at t = T every retained jump counts, so the value is the plain sum of
-    inverted arrival levels.
+    Uses the direct series with the same truncation level as the samplers,
+    on streams derived from ``(cfg.seed, i, part_label)``; at t = T every
+    retained jump counts, so the value is the plain sum of inverted arrival
+    levels.
     """
     stop = gamma_stop_level(tail, T, cfg)
     gam_list = [
-        arrival_stream(np.random.SeedSequence(seed, spawn_key=(i, part_label)), stop, cfg.max_terms).gammas
+        arrival_stream(np.random.SeedSequence(cfg.seed, spawn_key=(i, part_label)), stop, cfg.max_terms).gammas
         for i in range(n)
     ]
     counts = np.array([len(g) for g in gam_list])
@@ -153,13 +154,13 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
     finite_activity = model.gaussian_sigma2 == 0.0
     atom_s = 0.0
     if model.pos is not None:
-        ref += _direct_terminal_samples(model.pos.tail_pos, T, m, cfg.seed, _DIRECT_POS_PART, cfg)
+        ref += _direct_terminal_samples(model.pos.tail_pos, T, m, _DIRECT_POS_PART, cfg)
         labels.append("+pos")
         c = center(model.pos)
         finite_activity &= math.isfinite(c.tail_pos.g0)
         atom_s += float(basis.drift_vector(c.triple.a) @ e_T)
     if model.neg is not None:
-        ref -= _direct_terminal_samples(model.neg.tail_pos, T, m, cfg.seed, _DIRECT_NEG_PART, cfg)
+        ref -= _direct_terminal_samples(model.neg.tail_pos, T, m, _DIRECT_NEG_PART, cfg)
         labels.append("-neg")
         c = center(model.neg)
         finite_activity &= math.isfinite(c.tail_pos.g0)

@@ -71,7 +71,7 @@ def gamma_run():
     e_T = basis.eigenfunction_matrix(np.array([1.0]))[0]
     s_T = Z @ e_T
     del Z
-    direct = _direct_terminal_samples(model.tail_pos, 1.0, 10_000, SEED_KS_FULL, 7, cfg)
+    direct = _direct_terminal_samples(model.tail_pos, 1.0, 10_000, 7, cfg)
     direct = direct - model.mean_rate * 1.0
     return s_T, n_pos, direct
 
@@ -171,7 +171,7 @@ class TestCriterion5:
         cfg = ShotConfig(seed=SEED_KS_SMOKE)
         Z, _, _ = sample_coeffs_batch(as_split(model), basis, cfg, 2000)
         s_T = Z @ basis.eigenfunction_matrix(np.array([1.0]))[0]
-        direct = _direct_terminal_samples(model.tail_pos, 1.0, 2000, SEED_KS_SMOKE, 7, cfg)
+        direct = _direct_terminal_samples(model.tail_pos, 1.0, 2000, 7, cfg)
         res = ks_two_sample(s_T, direct - model.mean_rate)
         ok = res.pvalue >= 0.01
         record_acceptance(

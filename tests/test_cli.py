@@ -1,6 +1,7 @@
 """Command line interface: config plumbing, outputs, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,7 @@ class TestE1Table:
         "non-numeric-value": ("load", "t.csv", "x,E1(x)\n1.0,abc\n", []),
         "one-column": ("load", "t.csv", "x\n1.0\n2.0\n", []),
         "non-positive-x": ("load", "t.csv", "x,E1(x)\n-1.0,2.0\n", []),
+        "header-only": ("load", "t.csv", "x,E1(x)\n", []),
         "not-an-npz-archive": ("load", "t.npz", "plain text\n", []),
         "missing-directory": ("dump", "missing/t.csv", None, []),
         "domain-beyond-e1-range": ("dump", "t.csv", None, ["--hi", "1000"]),
@@ -263,7 +265,12 @@ class TestE1Table:
         path = tmp_path / name
         if content is not None:
             path.write_text(content)
-        assert main(["e1-table", action, str(path), *extra]) == 2
+        # pytest captures warnings, so record them: a warning printed to
+        # stderr would be a second line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["e1-table", action, str(path), *extra]) == 2
+        assert not caught, [str(w.message) for w in caught]
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         if action == "dump":

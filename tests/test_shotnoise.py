@@ -136,12 +136,66 @@ class TestShotSum:
         assert np.allclose(shot_sum(basis, 3.0 * x, u), 3.0 * shot_sum(basis, x, u), rtol=1e-13)
 
     def test_leading_components_independent_of_d(self):
-        # Required for bitwise dimension growth.
-        b5 = KleBasis(T=1.0, d=5, alpha=1.0)
-        b40 = KleBasis(T=1.0, d=40, alpha=1.0)
+        # Required for bitwise dimension growth, also across the anchored
+        # blocks of 64 columns.
         rng = np.random.default_rng(0)
         x, u = rng.exponential(size=30), rng.random(30)
-        assert np.array_equal(shot_sum(b5, x, u), shot_sum(b40, x, u)[:5])
+        wide = shot_sum(KleBasis(T=1.0, d=300, alpha=1.0), x, u)
+        for d in (1, 5, 40, 64, 65, 128, 129, 200):
+            assert np.array_equal(shot_sum(KleBasis(T=1.0, d=d, alpha=1.0), x, u), wide[:d])
+
+    @staticmethod
+    def _relative_error(basis, x, u, value):
+        # Largest column error against a plain np.cos sum, relative to
+        # sum |x_i|. The reference angles pi (k - 1/2) u are reduced mod 2 pi
+        # in integer arithmetic (u = N 2^-53, so (2k - 1) N mod 2^55 is exact
+        # in wrapping uint64), because the float64 product pi (k - 1/2) u
+        # alone is off by up to 2e-12 at k = 3000.
+        if len(x) == 0:
+            return float(np.max(np.abs(value)))
+        n_u = (u * 2.0**53).astype(np.uint64)
+        assert np.array_equal(n_u * 2.0**-53, u)
+        odd = (2 * np.arange(1, basis.d + 1) - 1).astype(np.uint64)
+        angles = np.pi * ((np.outer(n_u, odd) & np.uint64(2**55 - 1)) * 2.0**-54)
+        unit = math.sqrt(2.0 * basis.T) / math.pi / basis.k_half
+        direct = (np.cos(angles) * x[:, None]).sum(axis=0) * unit
+        return float(np.max(np.abs(value - direct) / unit) / np.sum(np.abs(x)))
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 129, 3000])
+    def test_matches_direct_cos_sum(self, d):
+        # Oracle: a plain np.cos sum. The anchored rotation stays within
+        # 1e-13 of sum |x_i| in every column (about 2e-15 measured).
+        basis = KleBasis(T=1.5, d=d, alpha=1.0)
+        rng = np.random.default_rng(d)
+        for n in (0, 1, 450):
+            x = rng.exponential(size=n) * rng.choice([-1.0, 1.0], size=n)
+            u = rng.random(n)
+            assert self._relative_error(basis, x, u, shot_sum(basis, x, u)) <= 1e-13
+
+    def test_chunk_rows_match_single_samples(self):
+        # One call per chunk over flattened rows: samples with no rows give
+        # exactly 0, a sample past the row budget is cut where its own rows
+        # say, and every row equals the sample summed alone.
+        basis = KleBasis(T=1.0, d=200, alpha=1.0)
+        rng = np.random.default_rng(5)
+        n = np.array([0, 3, 0, 0, 450, 2500, 1, 0])
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        x, u = rng.exponential(size=offsets[-1]), rng.random(offsets[-1])
+        rows = shot_sum(basis, x, u, offsets)
+        assert rows.shape == (len(n), basis.d)
+        for j in range(len(n)):
+            xj, uj = x[offsets[j]:offsets[j + 1]], u[offsets[j]:offsets[j + 1]]
+            assert np.array_equal(rows[j], shot_sum(basis, xj, uj))
+            assert self._relative_error(basis, xj, uj, rows[j]) <= 1e-13
+        assert not np.any(rows[n == 0])
+        assert np.array_equal(shot_sum(basis, x[:0], u[:0], np.zeros(4, dtype=int)), np.zeros((3, basis.d)))
+
+    def test_adds_into_out(self):
+        basis = KleBasis(T=1.0, d=70, alpha=1.0)
+        x, u = np.array([0.3, -1.2]), np.array([0.6, 0.1])
+        out = np.ones(70)
+        assert shot_sum(basis, x, u, out=out) is out
+        assert np.array_equal(out, 1.0 + shot_sum(basis, x, u))
 
 
 class TestCentering:
@@ -288,6 +342,16 @@ class TestExtendDimension:
                 assert np.array_equal(grown.z, fresh.z)
                 assert np.array_equal(grown.z[:d], small.z)
 
+    def test_extension_across_anchor_blocks(self, vg):
+        # Columns 65 on come from anchored blocks of 64; growing across a
+        # block edge must reproduce a fresh run bitwise.
+        cfg = ShotConfig(seed=17)
+        fresh = sample_coeffs(vg, KleBasis(T=1.0, d=200, alpha=vg.alpha), cfg, sample_index=4)
+        for d in (63, 64, 65, 128, 129):
+            small = sample_coeffs(vg, KleBasis(T=1.0, d=d, alpha=vg.alpha), cfg,
+                                  sample_index=4, keep_record=True)
+            assert np.array_equal(extend_dimension(small, 200).z, fresh.z)
+
     def test_same_dimension_is_identity(self, vg):
         cfg = ShotConfig(seed=31)
         b5 = KleBasis(T=1.0, d=5, alpha=vg.alpha)
@@ -320,7 +384,7 @@ class TestOneKernel:
         return SplitModel("vg+gauss", vg.pos, vg.neg, gaussian_sigma2=0.5)
 
     @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 10**6),
-           chunk=st.integers(1, 4), d=st.integers(1, 12), extra=st.integers(1, 20))
+           chunk=st.integers(1, 4), d=st.integers(1, 140), extra=st.integers(1, 140))
     @settings(max_examples=15, deadline=None)
     def test_batch_single_and_extension_agree(self, vg_gauss, seed, start, chunk, d, extra):
         cfg = ShotConfig(seed=seed)
@@ -333,6 +397,22 @@ class TestOneKernel:
             assert (n_pos[j], n_neg[j]) == (s.n_terms_pos, s.n_terms_neg)
             fresh = sample_coeffs(vg_gauss, wide, cfg, sample_index=start + j)
             assert np.array_equal(extend_dimension(s, d + extra).z, fresh.z)
+
+
+    def test_samples_without_jumps(self):
+        # A low-rate compound Poisson draws no jump in most samples: those
+        # rows are the drift vector alone, and batch rows, chunking and
+        # single samples still agree bitwise.
+        cp = as_split(make_cp_exponential(rate=0.3, rho=1.0))
+        basis = KleBasis(T=1.0, d=130, alpha=cp.alpha)
+        cfg = ShotConfig(seed=23)
+        Z, n_pos, _ = sample_coeffs_batch(cp, basis, cfg, 40, start_index=9, chunk=7)
+        assert 0 < np.count_nonzero(n_pos) < 40
+        drift_only = basis.drift_vector(center(cp.pos).triple.a)
+        assert np.array_equal(Z[n_pos == 0], np.broadcast_to(drift_only, Z[n_pos == 0].shape))
+        assert np.array_equal(Z, sample_coeffs_batch(cp, basis, cfg, 40, start_index=9)[0])
+        for j in (0, 1, 2, 39):
+            assert np.array_equal(Z[j], sample_coeffs(cp, basis, cfg, sample_index=9 + j).z)
 
 
 class TestCsvOutput:

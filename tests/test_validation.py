@@ -80,15 +80,15 @@ class TestDirectTerminalSamples:
     def test_deterministic_and_distinct_parts(self):
         tail = make_gamma(1.0, 1.0).tail_pos
         cfg = ShotConfig(seed=7)
-        a = _direct_terminal_samples(tail, 1.0, 100, 7, 7, cfg)
-        b = _direct_terminal_samples(tail, 1.0, 100, 7, 7, cfg)
-        c = _direct_terminal_samples(tail, 1.0, 100, 7, 8, cfg)
+        a = _direct_terminal_samples(tail, 1.0, 100, 7, cfg)
+        b = _direct_terminal_samples(tail, 1.0, 100, 7, cfg)
+        c = _direct_terminal_samples(tail, 1.0, 100, 8, cfg)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(a >= 0.0)
 
     def test_mean_tracks_model_rate(self):
         cp = make_cp_exponential(3.0, 1.5)
-        vals = _direct_terminal_samples(cp.tail_pos, 2.0, 20000, 9, 7, ShotConfig(seed=9))
+        vals = _direct_terminal_samples(cp.tail_pos, 2.0, 20000, 7, ShotConfig(seed=9))
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0 * cp.mean_rate) < 4.0 * se
