@@ -8,9 +8,10 @@ worker count: samples are generated on per-index derived streams and
 aggregated in fixed chunk order with compensated summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
-configuration error, 3 when a series needs more terms than ``max_terms``
-allows (``TruncationCapError``; raised before any draw when the truncation
-level, the expected term count, already exceeds the cap).
+configuration error (a negative seed among them), 3 when a series needs
+more terms than ``max_terms`` allows (``TruncationCapError``; raised before
+any draw when the truncation level, the expected term count, already
+exceeds the cap).
 """
 
 from __future__ import annotations
@@ -20,17 +21,20 @@ import json
 import math
 import sys
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-# ``reconstruct`` stays importable from here: the benchmark's tracer wraps
-# ``cli.reconstruct``, although the commands now go through ``_reconstruct``.
+# ``reconstruct`` and ``sample_coeffs`` stay importable from here: the
+# benchmark's tracer wraps ``cli.reconstruct`` and ``cli.sample_coeffs``,
+# although the commands now go through ``_reconstruct`` and
+# ``sample_coeffs_batch``.
 from .basis import KleBasis, _reconstruct, reconstruct, variance_capture  # noqa: F401
 from .models import SplitModel, model_from_config
-from .shotnoise import ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch
+from .shotnoise import ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
 from .special import build_e1_inverse, default_e1_inverse, exp_integral_e1
 from .validation import run_validation
 
@@ -78,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'partial' or 'cesaro', got {self.mode!r}")
         if self.gamma_cutoff <= 0.0:
             raise ConfigError(f"gamma_cutoff must be positive, got {self.gamma_cutoff!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
 
@@ -169,13 +175,23 @@ def _chunk_ranges(n: int, chunk: int = _CHUNK):
 
 def _parallel_in_order(fn, tasks, workers: int):
     """Map ``fn`` over tasks, yielding results in task order regardless of
-    scheduling, so downstream aggregation is worker-count independent."""
+    scheduling, so downstream aggregation is worker-count independent.
+
+    At most ``workers`` tasks run ahead of the result being consumed, so
+    results waiting for a slow consumer (CSV writing) stay bounded.
+    """
     if workers <= 1:
         for t in tasks:
             yield fn(t)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
+        ahead = deque()
+        for t in tasks:
+            ahead.append(pool.submit(fn, t))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
@@ -185,7 +201,10 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
     dimensions reuse the leading coefficients, which the samplers guarantee
     to be bitwise identical to a fresh lower-dimensional run with the same
     seed. The eigenfunction matrix is built once per dimension and shared by
-    all paths.
+    all paths. Paths are sampled a chunk at a time with
+    ``sample_coeffs_batch`` on the worker threads, and the main thread
+    writes a chunk's files once the chunk is sampled, so at most
+    ``workers + 1`` chunks of coefficients are held at once.
     """
     model = cfg.build_model()
     shot = cfg.shot_config()
@@ -197,16 +216,18 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_path(i: int):
-        return sample_coeffs(model, basis_max, shot, sample_index=i)
+    def chunk_coeffs(bounds):
+        lo, hi = bounds
+        return lo, sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)[0]
 
     written = []
-    for i, coeffs in zip(range(cfg.n_paths), _parallel_in_order(one_path, range(cfg.n_paths), cfg.workers)):
-        for d in cfg.d_list:
-            approx = _reconstruct(bases[d], coeffs.z[:d], grid, cfg.mode, model.mean_rate, emats[d])
-            path = out / f"{cfg.prefix}_path_d{d}_p{i}.csv"
-            _write_csv(path, "t,value", [grid, approx.values])
-            written.append(path)
+    for lo, Z in _parallel_in_order(chunk_coeffs, _chunk_ranges(cfg.n_paths), cfg.workers):
+        for i, z in enumerate(Z, start=lo):
+            for d in cfg.d_list:
+                approx = _reconstruct(bases[d], z[:d], grid, cfg.mode, model.mean_rate, emats[d])
+                path = out / f"{cfg.prefix}_path_d{d}_p{i}.csv"
+                _write_csv(path, "t,value", [grid, approx.values])
+                written.append(path)
     print(f"wrote {len(written)} path files under {out}")
     return 0
 

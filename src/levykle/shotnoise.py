@@ -31,25 +31,32 @@ at most 512 and reduced per sample with ``np.add.reduceat``. Both sizes are
 module constants, so a column's value depends on k and the sample's jumps
 alone, never on d or the chunk (see ``shot_sum`` for the measured error).
 
-Reproducibility: one routine, ``arrival_stream``, draws every arrival
-stream, the samplers' and the validation suites' alike: the arrivals
-strictly below a level, with matched uniforms. Every (sample_index, part)
-pair receives its own stream, derived from
-SeedSequence(seed, spawn_key=(sample_index, part)) with the exponential and
-uniform generators split one level further. Exponentials are drawn in
-doubling blocks, so a stream up to a higher level extends a stream up to a
-lower one element for element, which makes coefficient vectors bitwise
-reproducible under dimension growth, under a raised cutoff and under any
-partitioning of samples across workers.
+Reproducibility: one routine, ``arrival_streams``, draws every arrival
+stream, the samplers' and the validation suites' alike, a chunk of sample
+indices at a time: the arrivals strictly below a level, with matched
+uniforms; ``arrival_stream`` is its batch of one. Every (sample_index, part)
+pair receives its own stream, the one numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=(sample_index, part, sub))))
+gives, with sub 0 for the exponentials and 1 for the uniforms; the Gaussian
+part uses the key (sample_index, PART_GAUSS). The seed words of a whole
+chunk's generators come from one vectorized pass (``_seed_words``, numpy's
+seed_seq hashing and mixing in integer arithmetic, equal to numpy's by
+test), and each PCG64 seeds itself from its words, so no SeedSequence is
+built per stream. Exponentials are drawn in doubling blocks, so a stream up
+to a higher level extends a stream up to a lower one element for element,
+which makes coefficient vectors bitwise reproducible under dimension growth,
+under a raised cutoff and under any partitioning of samples across workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .basis import KleBasis
 from .models import CUTOFF_H0, SplitModel, TailIntegral, center
@@ -66,6 +73,7 @@ __all__ = [
     "ShotRecord",
     "CoefficientSample",
     "derive_rng",
+    "arrival_streams",
     "arrival_stream",
     "shot_sum",
     "gamma_stop_level",
@@ -87,6 +95,12 @@ _MAX_TERMS = 1_000_000
 _BLOCK = 64
 _ROW_BUDGET = 512
 _CENTERING_RTOL = 1e-10
+# numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class TruncationCapError(RuntimeError):
@@ -129,6 +143,8 @@ class ShotConfig:
     jump_floor: float | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.gamma_cutoff > 0.0:
             raise ValueError("gamma_cutoff must be positive")
         if self.max_terms < 1:
@@ -148,44 +164,210 @@ class ArrivalStream:
     level: float
 
 
+def _words(value) -> list[int]:
+    """numpy's uint32 coercion of ``SeedSequence`` entropy and spawn keys.
+
+    An integer becomes its little-endian 32-bit words (0 is one word), a
+    sequence the concatenation of its items' words. Negative integers raise
+    ``ValueError``, as in numpy.
+    """
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {value}")
+        words = [value & _MASK32]
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    return [w for item in value for w in _words(item)]
+
+
+def _hash(value, h: int, mult: int):
+    """One hashmix step on a uint32 word: ``(hashed value, next hash constant)``."""
+    value = value ^ h
+    h = (h * mult) & _MASK32
+    value = (value * h) & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x, y):
+    """seed_seq's mix of two uint32 words."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _entropy_pool(head: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The seed_seq pool seeded from its first words, and the hash constant reached.
+
+    ``head`` holds one word per pool entry: the entropy's first words,
+    zero-padded. Each is hashed into its entry, then every entry is mixed
+    into every other. This part is shared by all streams of a seed, so it is
+    computed once per seed.
+    """
+    h = _INIT_A
+    pool = []
+    for w in head:
+        v, h = _hash(w, h, _MULT_A)
+        pool.append(v)
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if dst != src:
+                v, h = _hash(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+    return tuple(pool), h
+
+
+def _seed_words(entropy: list[int], key: list, pool_size: int, n: int) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)`` for n streams.
+
+    numpy's derivation, reproduced word for word (the tests check it
+    against numpy bitwise): O'Neill's seed_seq hashmix and mix of the words
+    into a pool of ``pool_size`` uint32 words (``_entropy_pool``, then each
+    word past the pool's first, the rest of the entropy and then the key,
+    mixed into every entry), then 8 hashed pool words paired into 4 uint64
+    words. A word of ``key`` is an int, shared by every stream, or a uint64
+    array with one word per stream, so one pass derives a whole chunk; the
+    arithmetic is uint32 held in Python ints or uint64, masked after each
+    product. Returns an (n, 4) uint64 array.
+    """
+    head = entropy[:pool_size] + [0] * (pool_size - len(entropy))
+    shared, h = _entropy_pool(tuple(head))
+    pool = list(shared)
+    for w in entropy[pool_size:] + key:
+        for dst in range(pool_size):
+            v, h = _hash(w, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], v)
+    h = _INIT_B
+    out = np.empty((n, 4), dtype=np.uint64)
+    for j in range(4):
+        lo, h = _hash(pool[2 * j % pool_size], h, _MULT_B)
+        hi, h = _hash(pool[(2 * j + 1) % pool_size], h, _MULT_B)
+        out[:, j] = (hi << 32) | lo
+    return out
+
+
+class _DerivedSeed(ISeedSequence):
+    """A seed sequence whose ``generate_state(4, np.uint64)`` is already known.
+
+    ``PCG64`` asks its seed sequence for exactly that and applies PCG's
+    setseq seeding itself, so ``PCG64(_DerivedSeed(words))`` equals
+    ``PCG64(SeedSequence(...))`` for the words ``_seed_words`` derived.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a derived seed holds the 4 uint64 words that PCG64 asks for")
+        return self.words
+
+
+def _index_words(indices: range):
+    """Split ``indices`` (step 1) where the uint32 word count of an index changes.
+
+    Yields ``(n, words)``: the next n indices as a list of word columns,
+    lowest word first; a single index gives its words as ints. Mixing runs
+    word by word, so each group is derived on its own.
+    """
+    lo, hi = indices.start, indices.stop
+    if lo < 0:
+        raise ValueError(f"sample indices must be non-negative, got {lo}")
+    bits = 32
+    while lo < hi:
+        top = min(hi, 1 << bits)
+        if top - lo == 1:
+            yield 1, _words(lo)
+        elif lo < top:
+            i = np.arange(top - lo, dtype=np.uint64) + lo if top <= 1 << 64 else np.array(range(lo, top), dtype=object)
+            yield top - lo, [((i >> s) & _MASK32).astype(np.uint64) for s in range(0, bits, 32)]
+        lo = max(lo, top)
+        bits += 32
+
+
+def _stream_rngs(seed, indices: range | None, labels: tuple):
+    """Generators equal to ``Generator(PCG64(SeedSequence(...)))`` for a set of streams.
+
+    ``seed`` is an integer or a ``SeedSequence``; the streams' spawn keys are
+    the seed's own key followed by ``(i, *labels)`` for each i of
+    ``indices``, one generator per index, or by ``labels`` alone when
+    ``indices`` is None. The seed words of a whole group come from one
+    ``_seed_words`` pass, so no ``SeedSequence`` is built per stream.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, prefix, pool_size = _words(seed.entropy), _words(seed.spawn_key), seed.pool_size
+    else:
+        entropy, prefix, pool_size = _words(seed), [], _POOL_SIZE
+    suffix = _words(labels)
+    for n, columns in [(1, [])] if indices is None else _index_words(indices):
+        for words in _seed_words(entropy, prefix + columns + suffix, pool_size, n):
+            yield np.random.Generator(np.random.PCG64(_DerivedSeed(words)))
+
+
 def derive_rng(seed, *labels) -> np.random.Generator:
-    """Independent generator for the given seed and integer label path."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    if labels:
-        ss = np.random.SeedSequence(ss.entropy, spawn_key=tuple(ss.spawn_key) + tuple(labels))
-    return np.random.Generator(np.random.PCG64(ss))
+    """The generator of ``SeedSequence(seed, spawn_key=labels)``, seeded through PCG64.
+
+    A ``SeedSequence`` seed keeps its entropy and its spawn key, which
+    ``labels`` extend. The generator draws what numpy's would; its seed
+    sequence holds only the derived words, so it cannot spawn children.
+    """
+    return next(_stream_rngs(seed, None, labels))
+
+
+def arrival_streams(seed, indices: range | None, labels: tuple, level: float,
+                    max_terms: int = _MAX_TERMS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrival streams keyed ``(i, *labels)`` for i in ``indices``, flattened.
+
+    Returns ``(gammas, uniforms, offsets)``: stream j is
+    ``gammas[offsets[j]:offsets[j + 1]]``, the arrivals strictly below
+    ``level``, with its uniforms. With ``indices`` None there is one stream,
+    keyed by ``labels`` alone. A stream's exponentials and uniforms come from
+    the generators of the keys ``key + (0,)`` and ``key + (1,)``
+    (``_stream_rngs``). Exponentials are drawn in doubling blocks, so the
+    stream up to a higher level extends the stream up to a lower one element
+    for element; uniforms are drawn in one call once the count is known.
+    Raises ``TruncationCapError`` when more than ``max_terms`` arrivals of a
+    stream lie below ``level``.
+    """
+    gammas, uniforms = [], []
+    for exp_rng, uni_rng in zip(_stream_rngs(seed, indices, (*labels, 0)),
+                                _stream_rngs(seed, indices, (*labels, 1))):
+        blocks: list[np.ndarray] = []
+        block = _FIRST_BLOCK
+        n_drawn = 0
+        while True:
+            blocks.append(exp_rng.standard_exponential(block))
+            n_drawn += block
+            g = (np.concatenate(blocks) if len(blocks) > 1 else blocks[0]).cumsum()
+            if g[-1] > level:
+                break
+            if n_drawn >= max_terms:
+                raise TruncationCapError(n_drawn, float(g[-1]), level, max_terms)
+            block *= 2
+        n = int(g.searchsorted(level))
+        if n > max_terms:
+            raise TruncationCapError(n, float(g[n - 1]), level, max_terms)
+        gammas.append(g[:n])
+        uniforms.append(uni_rng.random(n))
+    offsets = np.concatenate(([0], np.cumsum([len(g) for g in gammas])))
+    return np.concatenate(gammas), np.concatenate(uniforms), offsets
 
 
 def arrival_stream(seed, level: float, max_terms: int = _MAX_TERMS) -> ArrivalStream:
     """The arrivals Gamma_1 < Gamma_2 < ... strictly below ``level``, with uniforms.
 
-    ``seed`` may be an integer or a ``numpy.random.SeedSequence`` (the
-    samplers use per-(sample, part) sequences); same seed, same stream,
-    bitwise. Exponentials are drawn in doubling blocks, so the stream up to a
-    higher level extends the stream up to a lower one element for element;
-    uniforms are drawn in one call once the count is known. Raises
-    ``TruncationCapError`` when more than ``max_terms`` arrivals lie below
-    ``level``.
+    The batch of one of ``arrival_streams``: ``seed`` is an integer or any
+    ``numpy.random.SeedSequence`` (the samplers' stream for sample i and
+    part p is that of ``SeedSequence(seed, spawn_key=(i, p))``); same seed,
+    same stream, bitwise.
     """
     if not level > 0.0:
         raise ValueError("level must be positive")
-    exp_rng, uni_rng = derive_rng(seed, 0), derive_rng(seed, 1)
-    blocks: list[np.ndarray] = []
-    block = _FIRST_BLOCK
-    n_drawn = 0
-    while True:
-        blocks.append(exp_rng.standard_exponential(block))
-        n_drawn += block
-        gammas = np.cumsum(np.concatenate(blocks) if len(blocks) > 1 else blocks[0])
-        if gammas[-1] > level:
-            break
-        if n_drawn >= max_terms:
-            raise TruncationCapError(n_drawn, float(gammas[-1]), level, max_terms)
-        block *= 2
-    n = int(np.searchsorted(gammas, level, side="left"))
-    if n > max_terms:
-        raise TruncationCapError(n, float(gammas[n - 1]), level, max_terms)
-    return ArrivalStream(gammas[:n], uni_rng.random(n), level)
+    gammas, uniforms, _ = arrival_streams(seed, None, (), level, max_terms)
+    return ArrivalStream(gammas, uniforms, level)
 
 
 def _pieces(offsets: np.ndarray):
@@ -413,9 +595,12 @@ def _add_part(rows: np.ndarray, basis: KleBasis, sign: float, drift: np.ndarray,
     shot_sum(basis, sign * np.asarray(jump_sizes, dtype=float), uniforms, offsets, out=rows)
 
 
-def _add_gaussian(row: np.ndarray, scale: np.ndarray | None, seed: int, sample_index: int) -> None:
+def _add_gaussian(rows: np.ndarray, scale: np.ndarray | None, seed: int, indices: range) -> None:
+    # Row j gets the Gaussian vector of sample indices[j], drawn from the
+    # stream keyed (index, PART_GAUSS).
     if scale is not None:
-        row += scale * derive_rng(seed, sample_index, PART_GAUSS).standard_normal(len(row))
+        for row, rng in zip(rows, _stream_rngs(seed, indices, (PART_GAUSS,))):
+            row += scale * rng.standard_normal(len(row))
 
 
 def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
@@ -427,6 +612,8 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
     each sample alone. With ``keep``, ``kept[i]`` maps each part label to
     the row's ``PartRecord``.
     """
+    if start_index < 0:
+        raise ValueError(f"sample indices must be non-negative, got {start_index}")
     parts, gauss_scale = _plan(model, basis, cfg)
     Z = np.zeros((n_samples, basis.d))
     counts = np.zeros((2, n_samples), dtype=np.int64)
@@ -435,24 +622,17 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
         hi = min(lo + chunk, n_samples)
         idx = range(start_index + lo, start_index + hi)
         for label, sign, tail, stop, drift_a, drift in parts:
-            draws = [
-                arrival_stream(np.random.SeedSequence(int(cfg.seed), spawn_key=(int(i), label)), stop, cfg.max_terms)
-                for i in idx
-            ]
-            n = np.array([len(s.gammas) for s in draws])
-            offsets = np.concatenate(([0], np.cumsum(n)))
+            gammas, uniforms, offsets = arrival_streams(cfg.seed, idx, (label,), stop, cfg.max_terms)
             sizes = (
-                np.atleast_1d(np.asarray(tail.g_inv(np.concatenate([s.gammas for s in draws]) / basis.T), dtype=float))
+                np.atleast_1d(np.asarray(tail.g_inv(gammas / basis.T), dtype=float))
                 if offsets[-1] else np.empty(0)
             )
-            uniforms = np.concatenate([s.uniforms for s in draws])
             _add_part(Z[lo:hi], basis, sign, drift, sizes, uniforms, offsets)
             if keep:
-                for j, s in enumerate(draws):
-                    kept[lo + j][label] = PartRecord(s.gammas, s.uniforms, sizes[offsets[j]:offsets[j + 1]], drift_a)
-            counts[label, lo:hi] = n
-        for j, i in enumerate(idx):
-            _add_gaussian(Z[lo + j], gauss_scale, cfg.seed, i)
+                for j, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+                    kept[lo + j][label] = PartRecord(gammas[a:b], uniforms[a:b], sizes[a:b], drift_a)
+            counts[label, lo:hi] = np.diff(offsets)
+        _add_gaussian(Z[lo:hi], gauss_scale, cfg.seed, idx)
     return Z, counts[PART_POS], counts[PART_NEG], kept
 
 
@@ -520,7 +700,8 @@ def extend_dimension(coeffs: CoefficientSample, new_d: int, shot_record: ShotRec
     for sign, part in ((1.0, record.pos), (-1.0, record.neg)):
         if part is not None:
             _add_part(z, wide, sign, wide.drift_vector(part.drift_a), part.jump_sizes, part.uniforms)
-    _add_gaussian(z, _gaussian_scale(wide, record.sigma2), record.seed, record.sample_index)
+    _add_gaussian(z[None], _gaussian_scale(wide, record.sigma2), record.seed,
+                  range(record.sample_index, record.sample_index + 1))
     if not np.array_equal(z[: coeffs.d], coeffs.z):
         raise ValueError("shot_record is inconsistent with the sample it claims to extend")
     return CoefficientSample(

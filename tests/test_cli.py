@@ -36,6 +36,8 @@ class TestConfig:
             ExperimentConfig(mode="fejer").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(workers=0).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=-1).validate()
 
     def test_json_config_with_flag_override(self, tmp_path, capsys):
         doc = {"model": {"model": "gamma", "c": 1.0, "rho": 1.0},
@@ -145,20 +147,32 @@ class TestMcMean:
             assert expected == pytest.approx(t * 1.0, rel=1e-12, abs=1e-15)
 
     def test_worker_count_never_changes_bytes(self, tmp_path):
-        # Every command that takes --workers, not only mc-mean.
-        for command, n_paths in (("mc-mean", "700"), ("simulate-paths", "3"), ("validate", "200")):
+        # Every command that takes --workers, not only mc-mean; the Brownian
+        # run draws the Gaussian part's streams.
+        for command, model, n_paths in (("mc-mean", "variance_gamma", "700"), ("mc-mean", "brownian", "700"),
+                                        ("simulate-paths", "variance_gamma", "3"),
+                                        ("validate", "variance_gamma", "200")):
             outputs = []
             for workers in ("1", "2", "3"):
-                out = tmp_path / command / f"w{workers}"
+                out = tmp_path / command / model / f"w{workers}"
                 out.mkdir(parents=True)
-                argv = [command, "--model", "variance_gamma", "--seed", "4",
+                argv = [command, "--model", model, "--seed", "4",
                         "--n-paths", n_paths, "--d-list", "2,5", "--grid-n", "12",
                         "--output-dir", str(out), "--workers", workers]
                 if command == "validate":
                     argv += ["--report", str(out / "report.json")]
                 assert main(argv) == 0
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-            assert outputs[0] and outputs[0] == outputs[1] == outputs[2], command
+            assert outputs[0] and outputs[0] == outputs[1] == outputs[2], (command, model)
+
+    @pytest.mark.parametrize("command", ["mc-mean", "simulate-paths", "validate"])
+    def test_negative_seed_is_one_line_config_error(self, tmp_path, capsys, command):
+        rc = main([command, "--model", "variance_gamma", "--seed", "-1", "--n-paths", "4",
+                   "--d-list", "2", "--grid-n", "3", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_single_path_is_config_error(self, tmp_path, capsys):
         # One path has no spread, so its standard error would read 0.

@@ -6,15 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levykle.basis import KleBasis
 from levykle.models import SplitModel, as_split, center, make_cp_exponential, make_gamma
 from levykle.shotnoise import (
+    PART_GAUSS,
+    PART_NEG,
+    PART_POS,
     ShotConfig,
     TruncationCapError,
     arrival_stream,
+    arrival_streams,
     centering_vector,
     derive_rng,
     gamma_stop_level,
@@ -65,6 +69,87 @@ class TestStreams:
         for level in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 arrival_stream(11, level)
+
+
+def _numpy_stream(seed, key, level):
+    """Reference stream from numpy's own constructors, drawn the way the
+    samplers draw: exponentials in doubling blocks from 128 until one passes
+    ``level``, then one call for the uniforms."""
+    def rng(sub):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*key, sub))))
+
+    exp_rng, uni_rng = rng(0), rng(1)
+    blocks, block = [], 128
+    while True:
+        blocks.append(exp_rng.standard_exponential(block))
+        gammas = np.cumsum(np.concatenate(blocks))
+        if gammas[-1] > level:
+            break
+        block *= 2
+    n = int(np.searchsorted(gammas, level))
+    return gammas[:n], uni_rng.random(n)
+
+
+class TestStreamDerivation:
+    """Stream states are derived in one pass without numpy's SeedSequence;
+    every stream must equal the one numpy's constructors give, bitwise, so a
+    numpy release that changed SeedSequence or PCG64 seeding fails here."""
+
+    SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140))
+    STARTS = st.one_of(st.integers(0, 10**6), st.integers(2**32 - 6, 2**32 + 6),
+                       st.integers(2**32, 2**64 - 8), st.integers(2**64 - 4, 2**64 + 4))
+
+    @given(seed=SEEDS, start=STARTS, n=st.integers(1, 6), label=st.sampled_from([PART_POS, PART_NEG]),
+           level=st.sampled_from([0.5, 60.0, 700.0]))
+    @example(seed=0, start=0, n=3, label=PART_POS, level=60.0)
+    @example(seed=7, start=2**32 - 3, n=6, label=PART_NEG, level=60.0)
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_streams_match_numpy(self, seed, start, n, label, level):
+        gammas, uniforms, offsets = arrival_streams(seed, range(start, start + n), (label,), level)
+        assert len(offsets) == n + 1 and offsets[-1] == len(gammas) == len(uniforms)
+        for j in range(n):
+            ref_g, ref_u = _numpy_stream(seed, (start + j, label), level)
+            assert np.array_equal(gammas[offsets[j]:offsets[j + 1]], ref_g)
+            assert np.array_equal(uniforms[offsets[j]:offsets[j + 1]], ref_u)
+
+    @given(entropy=st.one_of(SEEDS, st.lists(SEEDS, min_size=1, max_size=3).map(tuple)),
+           key=st.lists(st.one_of(st.integers(0, 9), SEEDS), max_size=4).map(tuple))
+    @example(entropy=(20161, 3), key=())
+    @settings(max_examples=40, deadline=None)
+    def test_single_stream_of_any_seed_sequence(self, entropy, key):
+        ss = np.random.SeedSequence(entropy, spawn_key=key)
+        got = arrival_stream(ss, 60.0)
+        ref_g, ref_u = _numpy_stream(entropy, key, 60.0)
+        assert np.array_equal(got.gammas, ref_g) and np.array_equal(got.uniforms, ref_u)
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*key, 5))))
+        assert np.array_equal(derive_rng(ss, 5).random(8), want.random(8))
+
+    @given(seed=SEEDS, start=STARTS, n=st.integers(1, 4))
+    @example(seed=0, start=2**32 - 2, n=4)
+    @settings(max_examples=15, deadline=None)
+    def test_gaussian_rows_match_numpy(self, seed, start, n):
+        from levykle.models import make_brownian
+        bm = as_split(make_brownian(1.0))
+        basis = KleBasis(T=1.0, d=5, alpha=1.0)
+        Z, _, _ = sample_coeffs_batch(bm, basis, ShotConfig(seed=seed), n, start_index=start)
+        scale = np.sqrt(basis.gaussian_coefficient_variances(1.0))
+        for j in range(n):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start + j, PART_GAUSS))))
+            assert np.array_equal(Z[j], np.zeros(5) + scale * rng.standard_normal(5))
+
+    def test_negative_seeds_and_indices_raise(self, vg):
+        basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
+        with pytest.raises(ValueError):
+            ShotConfig(seed=-1)
+        with pytest.raises(ValueError):
+            sample_coeffs(vg, basis, ShotConfig(seed=1), sample_index=-1)
+        with pytest.raises(ValueError):
+            sample_coeffs_batch(vg, basis, ShotConfig(seed=1), 4, start_index=-2)
+        for seed in (-1, -2**40):
+            with pytest.raises(ValueError):
+                arrival_stream(seed, 10.0)
+        with pytest.raises(ValueError):
+            arrival_streams(3, range(-1, 2), (PART_POS,), 10.0)
 
 
 class TestTruncation:
@@ -398,6 +483,18 @@ class TestOneKernel:
             fresh = sample_coeffs(vg_gauss, wide, cfg, sample_index=start + j)
             assert np.array_equal(extend_dimension(s, d + extra).z, fresh.z)
 
+
+    def test_batch_straddling_two_word_indices(self, vg_gauss):
+        # Indices from 2^32 on take two uint32 words in the stream key, so a
+        # chunk across 2^32 derives its streams in two groups.
+        cfg = ShotConfig(seed=2**40 + 5)
+        basis = KleBasis(T=1.0, d=7, alpha=vg_gauss.alpha)
+        start = 2**32 - 3
+        Z, n_pos, n_neg = sample_coeffs_batch(vg_gauss, basis, cfg, 12, start_index=start, chunk=5)
+        for j in range(12):
+            s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j)
+            assert np.array_equal(Z[j], s.z)
+            assert (n_pos[j], n_neg[j]) == (s.n_terms_pos, s.n_terms_neg)
 
     def test_samples_without_jumps(self):
         # A low-rate compound Poisson draws no jump in most samples: those
