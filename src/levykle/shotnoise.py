@@ -24,12 +24,16 @@ batch rows, single samples and grown samples agree bitwise by construction.
 finite-activity models the jump sum minus C equals the h0 result.
 
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
-flattened jumps with per-sample row offsets. Columns k <= 64 take ``cos``
-directly; each later block of 64 columns rotates from an anchor angle
-through one shared table of pi m u, m < 64. Rows are handled in groups of
-at most 512 and reduced per sample with ``np.add.reduceat``. Both sizes are
+flattened jumps with per-sample row offsets; a sample's rows are cut into
+pieces of at most 512. Columns k <= 64 take ``cos`` directly and are reduced
+per piece with ``np.add.reduceat``. Each later block of 64 columns rotates
+from an anchor angle through one table of pi m u, m < 64, and BLAS sums it:
+in tiles of 8 blocks (512 columns, zero-padded past d), one matrix product
+of a fixed shape per piece and tile, with the piece zero-padded to a row
+bucket that its own row count sets (the next multiple of 16). All sizes are
 module constants, so a column's value depends on k and the sample's jumps
-alone, never on d or the chunk (see ``shot_sum`` for the measured error).
+alone, never on d, the chunk or the number of BLAS threads (see
+``shot_sum`` for why, and for the measured error).
 
 Reproducibility: one routine, ``arrival_streams``, draws every arrival
 stream, the samplers' and the validation suites' alike, a chunk of sample
@@ -90,10 +94,15 @@ PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
 _MAX_TERMS = 1_000_000
-# shot_sum: columns per anchored block (and direct-cos columns), and rows
-# per group of pieces; fixed so that no column depends on d or the chunk.
+# shot_sum: columns per anchored block (and direct-cos columns), rows per
+# piece, anchored blocks per GEMM tile, the row quantum of a piece's padded
+# size and padded rows per stacked product; fixed, so that no column depends
+# on d or the chunk.
 _BLOCK = 64
 _ROW_BUDGET = 512
+_TILE = 8
+_ROW_QUANTUM = 16
+_BATCH_ROWS = 1024
 _CENTERING_RTOL = 1e-10
 # numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
 _POOL_SIZE = 4
@@ -385,27 +394,85 @@ def _pieces(offsets: np.ndarray):
 
 
 def _anchor_angles(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """pi u k for u in [0, 1] (rows) and half-integers k < 2^26 (columns), mod 2 pi.
+    """pi k u mod 2 pi, for multiples k of 1/2 below 2^26 and u in [0, 1].
 
-    u splits into hi (26 fractional bits) plus lo, so that t = hi k is exact
-    and so is t - 2 floor(t / 2); the angles are good to about 1e-15, where
-    the plain product pi u k is off by up to 2e-12 at k = 3000.
+    The result has shape (len(k), *u.shape). u splits into hi (26 fractional
+    bits) plus lo, so that t = k hi is exact and so is t - 2 floor(t / 2);
+    the angles are good to about 1e-15, where the plain product pi k u is
+    off by up to 2e-12 at k = 3000.
     """
     hi = np.floor(u * 2.0**26) * 2.0**-26
-    t = np.outer(hi, k)
-    return np.pi * ((t - 2.0 * np.floor(0.5 * t)) + np.outer(u - hi, k))
+    t = np.multiply.outer(k, hi)
+    return np.pi * ((t - 2.0 * np.floor(0.5 * t)) + np.multiply.outer(k, u - hi))
 
 
-def _phase_table(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of phi_m = pi m u for m < ``_BLOCK`` (rows) and u (columns).
+def _padded_rows(x, u, start, end, kb: int):
+    """The rows of pieces ``start:end`` as (pieces, kb) arrays, zero past each piece's end."""
+    n = end - start
+    piece = np.repeat(np.arange(len(n)), n)
+    within = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    xp, up = np.zeros((len(n), kb)), np.zeros((len(n), kb))
+    xp[piece, within] = x[start[piece] + within]
+    up[piece, within] = u[start[piece] + within]
+    return xp, up
 
-    With n = sqrt(_BLOCK) and m = n a + b, phi_m is the sum of pi n a u and
-    pi b u, so the table takes 4 n trig calls per u instead of 2 _BLOCK.
+
+def _halves(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """(m, pieces, kb) arrays side by side per piece: (m, pieces, 2 kb)."""
+    return np.concatenate((first, second), axis=-1)
+
+
+def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
+               sample: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+    """Add the rotated columns of every piece into ``acc`` (its columns past the head).
+
+    Block b of ``_BLOCK`` columns is anchored at theta_b = pi (_BLOCK (b + 1)
+    + 1/2) u; the anchors of tile t (blocks b = _TILE t + e) rotate the
+    ``_TILE`` fine angles of e by the coarse angle pi _TILE _BLOCK t u. A
+    piece of K rows is zero-padded to kb rows, K rounded up to a multiple of
+    ``_ROW_QUANTUM``, and each tile is then one product of a fixed shape:
+    [x cos(theta) | -x sin(theta)] (_TILE x 2 kb) times [cos(phi); sin(phi)]
+    (2 kb x _BLOCK), phi_m = pi m u. Pieces of one kb and one rank in their
+    sample (0 for a sample's first piece) are stacked, at most
+    ``_BATCH_ROWS`` padded rows per ``np.matmul``; ranks go in order, so the
+    pieces of a sample are added into it in row order, one per batch. The
+    operands are laid out (rows of the matrix, pieces, 2 kb), so that the
+    elementwise work runs along whole batches; a product's leading dimension
+    then varies with the batch, which leaves its bits alone (batch rows
+    equal single samples, by test).
     """
+    n_tiles = -(-acc.shape[1] // (_TILE * _BLOCK))
+    fine = _BLOCK * (1.0 + np.arange(_TILE)) + 0.5
+    coarse = _TILE * _BLOCK * np.arange(n_tiles, dtype=float)
     n = math.isqrt(_BLOCK)
-    fine, coarse = np.pi * np.outer(np.arange(n), u), np.pi * np.outer(n * np.arange(n), u)
-    cf, sf, cc, sc = np.cos(fine), np.sin(fine), np.cos(coarse)[:, None], np.sin(coarse)[:, None]
-    return (cc * cf - sc * sf).reshape(_BLOCK, -1), (sc * cf + cc * sf).reshape(_BLOCK, -1)
+    kbs = -(-(end - start) // _ROW_QUANTUM) * _ROW_QUANTUM
+    rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
+    order = np.lexsort((kbs, rank))
+    key = rank[order] * (_ROW_BUDGET + 1) + kbs[order]
+    i = 0
+    while i < len(order):
+        kb = int(kbs[order[i]])
+        j = min(i + _BATCH_ROWS // kb, int(np.searchsorted(key, key[i], side="right")))
+        sel = order[i:j]
+        xp, up = _padded_rows(x, u, start[sel], end[sel], kb)
+        # [cos(phi); sin(phi)], phi_m = pi m u with m = n a + b: 4 n trig
+        # calls per row instead of 2 _BLOCK, and cos(a + b), sin(a + b) in
+        # one pass as [cos a | sin a] [cos b | cos b] + [-sin a | cos a] [sin b | sin b].
+        step = np.pi * np.multiply.outer(np.arange(n), up)
+        wide = np.pi * np.multiply.outer(n * np.arange(n), up)
+        ca, sa, cb, sb = np.cos(wide), np.sin(wide), np.cos(step), np.sin(step)
+        table = (_halves(ca, sa)[:, None] * _halves(cb, cb)[None]
+                 + _halves(-sa, ca)[:, None] * _halves(sb, sb)[None])
+        # [x cos(theta) | -x sin(theta)] for every anchor of every tile, with
+        # theta = coarse + fine and x folded into the fine factors.
+        tc, tf = _anchor_angles(up, coarse), _anchor_angles(up, fine)
+        cc, sc, xcf, xsf = np.cos(tc), np.sin(tc), xp * np.cos(tf), xp * np.sin(tf)
+        lhs = (_halves(cc, -sc)[:, None] * _halves(xcf, xcf)[None]
+               + _halves(-sc, -cc)[:, None] * _halves(xsf, xsf)[None])
+        prod = np.matmul(lhs.transpose(2, 0, 1, 3),
+                         table.reshape(_BLOCK, j - i, 2 * kb).transpose(1, 2, 0)[:, None])
+        acc[sample[sel]] += prod.reshape(j - i, -1)[:, :acc.shape[1]] * scale
+        i = j
 
 
 def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
@@ -419,25 +486,32 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     (n_samples, d), or (d,) for one sample; zeros when not given), which is
     returned. A sample with no rows adds nothing.
 
-    Columns k <= ``_BLOCK`` take ``cos`` directly. Each later block of
-    ``_BLOCK`` columns, starting at index k_half = c + 1/2, rotates from its
-    anchor angle theta = pi (c + 1/2) u: x cos(theta + phi_m) =
-    x cos(theta) cos(phi_m) - x sin(theta) sin(phi_m), where phi_m = pi m u
-    for m < ``_BLOCK`` is one table shared by all blocks. Anchor angles are
-    reduced mod 2 pi without rounding (``_anchor_angles``), so against
-    np.cos of exact angles every column is within 3.3e-14 of sum |x_i| for
-    one jump and 7e-15 for 45 (measured up to d = 3000); np.cos of the
-    float64 product pi (k - 1/2) u is off by up to 1.9e-12 there.
+    A sample's rows are cut into pieces of at most ``_ROW_BUDGET`` rows, only
+    past that budget and where its own rows say. Columns k <= ``_BLOCK``
+    take ``cos`` directly, in groups of whole pieces of at most
+    ``_ROW_BUDGET`` rows, each piece reduced with ``np.add.reduceat`` along
+    its rows (numpy adds the first row to a pairwise sum of the rest). Each
+    later block of ``_BLOCK`` columns, starting at index k_half = c + 1/2,
+    rotates from its anchor angle theta = pi (c + 1/2) u:
+    x cos(theta + phi_m) = x cos(theta) cos(phi_m) - x sin(theta) sin(phi_m),
+    with phi_m = pi m u for m < ``_BLOCK``. BLAS sums these columns in tiles
+    of ``_TILE`` blocks (``_add_tiles``): one product of a fixed shape per
+    piece and tile, the piece zero-padded to a row bucket (its row count
+    rounded up to a multiple of ``_ROW_QUANTUM``) and the last tile
+    zero-padded past d. So an output element comes from a product whose
+    shape and operands do not depend on d, on the other samples of the chunk
+    or on the chunking, and the pieces of a sample are added into it in row
+    order: every column is a function of k and the sample's rows only. A
+    BLAS product of one shape gives the same bits on every call; for these
+    shapes OpenBLAS also gives them under one and two threads (tested),
+    where one (8 x 3000) @ (3000 x 64) product does not.
 
-    Rows go in groups of whole pieces, at most ``_ROW_BUDGET`` rows each (a
-    sample is cut into pieces only past that budget), so temporaries hold
-    at most ``_ROW_BUDGET`` rows whatever the chunk. Each piece is
-    reduced per column with ``np.add.reduceat`` along the rows, in an order
-    set by that piece's rows alone (numpy adds the first row to a pairwise
-    sum of the rest), and the pieces of a sample are added into it in row
-    order. ``_BLOCK`` and ``_ROW_BUDGET`` are constants, so every column is
-    a function of k and the sample's rows only: it does not depend on d, on
-    the other samples of the chunk or on how samples are chunked.
+    Anchor angles are reduced mod 2 pi without rounding (``_anchor_angles``).
+    Against np.cos of exact angles every column is within 3.1e-14 of
+    sum |x_i| for one jump, 5.1e-15 for 45 and 1.3e-15 for 450 (largest of
+    300, 60 and 12 random draws at d = 3000, as for the elementwise kernel
+    this replaced); np.cos of the float64 product pi (k - 1/2) u is off by
+    up to 1.9e-12 there.
     """
     x = np.asarray(jump_sizes, dtype=float)
     u = np.asarray(uniforms, dtype=float)
@@ -448,32 +522,19 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     acc = out[None] if out.ndim == 1 else out
     scale = math.sqrt(2.0 * basis.T) / math.pi / k_half
     head = min(d, _BLOCK)
-    anchors = k_half[_BLOCK::_BLOCK]
     sample, start, end = _pieces(bounds)
     i = 0
     while i < len(start):
         j = int(np.searchsorted(end, start[i] + _ROW_BUDGET, side="right"))
         r0, r1 = start[i], end[j - 1]
-        xg, ug = x[r0:r1, None], u[r0:r1]
-        cuts, ids = start[i:j] - r0, sample[i:j]
         # Term matrices hold one column k per row, so that reduceat runs
         # along contiguous rows, where it is faster; cos is taken with the
         # columns k running fastest, where it is about 1.5x faster too.
-        terms = (np.cos(np.pi * np.outer(ug, k_half[:head])) * xg).T.copy()
-        acc[ids, :head] += np.add.reduceat(terms, cuts, axis=1).T * scale[:head]
-        if d > _BLOCK:
-            cos_phi, sin_phi = _phase_table(ug)
-            theta = _anchor_angles(ug, anchors)
-            x_cos, x_sin = (np.cos(theta) * xg).T.copy(), (np.sin(theta) * xg).T.copy()
-            terms, other = np.empty((_BLOCK, r1 - r0)), np.empty((_BLOCK, r1 - r0))
-            for b, c0 in enumerate(range(_BLOCK, d, _BLOCK)):
-                w = min(_BLOCK, d - c0)
-                t, o = terms[:w], other[:w]
-                np.multiply(cos_phi[:w], x_cos[b], out=t)
-                np.multiply(sin_phi[:w], x_sin[b], out=o)
-                np.subtract(t, o, out=t)
-                acc[ids, c0:c0 + w] += np.add.reduceat(t, cuts, axis=1).T * scale[c0:c0 + w]
+        terms = (np.cos(np.pi * np.outer(u[r0:r1], k_half[:head])) * x[r0:r1, None]).T.copy()
+        acc[sample[i:j], :head] += np.add.reduceat(terms, start[i:j] - r0, axis=1).T * scale[:head]
         i = j
+    if d > _BLOCK:
+        _add_tiles(acc[:, _BLOCK:], scale[_BLOCK:], x, u, sample, start, end)
     return out
 
 

@@ -2,7 +2,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,25 @@ class TestShotSum:
         for d in (1, 5, 40, 64, 65, 128, 129, 200):
             assert np.array_equal(shot_sum(KleBasis(T=1.0, d=d, alpha=1.0), x, u), wide[:d])
 
+    def test_tiles_independent_of_d_and_chunk(self):
+        # Columns past k = 64 come from GEMM tiles of one shape (512 columns,
+        # zero-padded past d) over pieces padded to a row bucket that their
+        # own row count sets, so every d and every chunking of the samples
+        # reproduces d = 3000 bitwise: across tile edges (512/513), with
+        # samples of no rows and samples cut past the 512-row budget.
+        rng = np.random.default_rng(13)
+        n = np.array([0, 45, 1, 0, 16, 17, 700, 512, 0, 3, 90, 513, 0, 48, 2, 1100, 31])
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        x = rng.exponential(size=offsets[-1]) * rng.choice([-1.0, 1.0], size=offsets[-1])
+        u = rng.random(offsets[-1])
+        basis = KleBasis(T=1.0, d=3000, alpha=1.0)
+        wide = shot_sum(basis, x, u, offsets)
+        for d in (65, 512, 513, 3000):
+            assert np.array_equal(shot_sum(KleBasis(T=1.0, d=d, alpha=1.0), x, u, offsets), wide[:, :d])
+        for chunk in (1, 7, 512):
+            parts = [shot_sum(basis, x, u, offsets[lo:lo + chunk + 1]) for lo in range(0, len(n), chunk)]
+            assert np.array_equal(np.concatenate(parts), wide)
+
     @staticmethod
     def _relative_error(basis, x, u, value):
         # Largest column error against a plain np.cos sum, relative to
@@ -281,6 +304,35 @@ class TestShotSum:
         out = np.ones(70)
         assert shot_sum(basis, x, u, out=out) is out
         assert np.array_equal(out, 1.0 + shot_sum(basis, x, u))
+
+
+class TestBlasThreads:
+    # The rotated columns of shot_sum are BLAS products. One product whose
+    # shape grows with d, (8 x 3000) @ (3000 x 64), changes bits between one
+    # and two OpenBLAS threads; the fixed tile shapes must not. The gamma
+    # samples hold about 912 terms, so each is cut into two pieces.
+    SCRIPT = """
+import hashlib
+from levykle.basis import KleBasis
+from levykle.models import as_split, make_gamma, make_variance_gamma
+from levykle.shotnoise import ShotConfig, sample_coeffs_batch
+for model, n in ((make_variance_gamma(), 40), (as_split(make_gamma(20.0, 1.0)), 6)):
+    for d in (65, 513, 3000):
+        Z = sample_coeffs_batch(model, KleBasis(T=1.0, d=d, alpha=model.alpha), ShotConfig(seed=5), n)[0]
+        print(hashlib.sha256(Z.tobytes()).hexdigest())
+"""
+
+    def test_z_independent_of_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+                                 text=True, timeout=600, check=True)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 6
+        assert digests[0] == digests[1]
 
 
 class TestCentering:
