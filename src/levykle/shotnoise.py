@@ -447,8 +447,9 @@ def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
     n = math.isqrt(_BLOCK)
     kbs = -(-(end - start) // _ROW_QUANTUM) * _ROW_QUANTUM
     rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
-    order = np.lexsort((kbs, rank))
-    key = rank[order] * (_ROW_BUDGET + 1) + kbs[order]
+    key = rank * (_ROW_BUDGET + 1) + kbs
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     i = 0
     while i < len(order):
         kb = int(kbs[order[i]])

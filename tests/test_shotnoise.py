@@ -308,9 +308,10 @@ class TestShotSum:
 
 class TestBlasThreads:
     # The rotated columns of shot_sum are BLAS products. One product whose
-    # shape grows with d, (8 x 3000) @ (3000 x 64), changes bits between one
-    # and two OpenBLAS threads; the fixed tile shapes must not. The gamma
-    # samples hold about 912 terms, so each is cut into two pieces.
+    # shape grows with d, (8 x 3000) @ (3000 x 64), can change bits between
+    # one and two OpenBLAS threads (OpenBLAS 0.3.31 does); the fixed tile
+    # shapes must not. The gamma samples hold about 909 terms, so each is
+    # cut into two pieces.
     SCRIPT = """
 import hashlib
 from levykle.basis import KleBasis
