@@ -1,10 +1,12 @@
 """Truncated Karhunen-Loeve expansions of square-integrable Levy processes.
 
 The package splits into small layers: ``special`` (exponential integral and
-its tabulated inverse), ``models`` (generating triples, tail integrals and
-the stock processes), ``basis`` (the closed-form sine eigenbasis and path
+its tabulated inverse), ``models`` (h0 drifts, tail integrals and the stock
+processes), ``basis`` (the closed-form sine eigenbasis and path
 reconstruction), ``shotnoise`` (series samplers for the coefficient vector),
-``oracles``/``validation`` (independent checks) and ``cli``.
+``oracles`` (independent references: quadrature exponents, the batched
+direct series, the series centering and brute-force integration),
+``validation`` (statistical suites against them) and ``cli``.
 """
 
 from .basis import KleBasis, PathApproximation, reconstruct, variance_capture
@@ -22,13 +24,11 @@ from .models import (
     make_gamma,
     make_variance_gamma,
     model_from_config,
-    psi_second_derivative,
 )
 from .oracles import (
     brute_force_coeffs,
     coeff_char_exponent,
     direct_series_subordinator,
-    empirical_cf,
     ks_two_sample,
     mixed_fourth_cumulant,
 )
@@ -42,7 +42,6 @@ from .shotnoise import (
     extend_dimension,
     sample_coeffs,
     sample_coeffs_batch,
-    write_coefficients_csv,
 )
 from .special import (
     MonotoneInverseTable,
@@ -79,7 +78,6 @@ __all__ = [
     "default_e1_inverse",
     "derive_rng",
     "direct_series_subordinator",
-    "empirical_cf",
     "exp_integral_e1",
     "extend_dimension",
     "from_density",
@@ -90,12 +88,10 @@ __all__ = [
     "make_variance_gamma",
     "mixed_fourth_cumulant",
     "model_from_config",
-    "psi_second_derivative",
     "quad",
     "reconstruct",
     "run_validation",
     "sample_coeffs",
     "sample_coeffs_batch",
     "variance_capture",
-    "write_coefficients_csv",
 ]

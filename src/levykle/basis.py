@@ -7,10 +7,11 @@ process has the closed-form eigenpairs
     e_k(t)   = sqrt(2/T) sin(pi (k - 1/2) t / T),
 
 so the expansion basis never requires a numerical eigensolve. This module
-evaluates the basis, the integrated basis u_k(t) = int_t^T e_k(s) ds, the
-jump-to-coefficient map f, the drift vector, variance-capture fractions, and
-partial or Cesaro path reconstruction from a coefficient vector. Everything
-here is pure and immutable.
+evaluates the eigenvalues, the eigenfunctions on a time grid, the integrated
+basis u_k(t) = int_t^T e_k(s) ds (a jump of size x at time t adds x u(t) to
+the coefficients), the drift vector, variance-capture fractions, and partial
+or Cesaro path reconstruction from a coefficient vector. Everything here is
+pure and immutable.
 """
 
 from __future__ import annotations
@@ -65,56 +66,31 @@ class KleBasis:
             raise ValueError(f"time must lie in [0, {self.T}]")
         return tt
 
-    def _check_k(self, k) -> np.ndarray:
-        kk = np.asarray(k)
-        if np.any(kk < 1):
-            raise ValueError("index k must be >= 1")
-        return kk.astype(float)
-
-    def eigenvalue(self, k):
-        """lambda_k = alpha T^2 / (pi^2 (k - 1/2)^2)."""
-        kk = self._check_k(k)
-        return self.alpha * self.T**2 / (math.pi**2 * (kk - 0.5) ** 2)
-
     def eigenvalues(self) -> np.ndarray:
-        """All d eigenvalues, decreasing."""
+        """lambda_k = alpha T^2 / (pi^2 (k - 1/2)^2) for k = 1..d, decreasing."""
         return self.alpha * self.T**2 / (math.pi**2 * self.k_half**2)
 
-    def eigenfunction(self, k, t):
-        """e_k(t) = sqrt(2/T) sin(pi (k - 1/2) t / T)."""
-        kk = self._check_k(k)
-        tt = self._check_time(t)
-        return math.sqrt(2.0 / self.T) * np.sin(math.pi * (kk - 0.5) * tt / self.T)
-
     def eigenfunction_matrix(self, grid) -> np.ndarray:
-        """Matrix E with E[i, k-1] = e_k(grid[i]), shape (len(grid), d)."""
+        """Matrix E with E[i, k-1] = e_k(grid[i]), shape (len(grid), d).
+
+        e_k(t) = sqrt(2/T) sin(pi (k - 1/2) t / T); times outside [0, T] raise.
+        """
         tt = np.atleast_1d(self._check_time(grid))
         return math.sqrt(2.0 / self.T) * np.sin(
             math.pi * np.outer(tt, self.k_half) / self.T
         )
 
-    def u(self, k, t):
-        """u_k(t) = int_t^T e_k(s) ds = sqrt(2T) cos(pi (k - 1/2) t / T) / (pi (k - 1/2))."""
-        kk = self._check_k(k)
-        tt = self._check_time(t)
-        return (
-            math.sqrt(2.0 * self.T)
-            * np.cos(math.pi * (kk - 0.5) * tt / self.T)
-            / (math.pi * (kk - 0.5))
-        )
-
     def u_vector(self, t) -> np.ndarray:
-        """The vector (u_1(t), ..., u_d(t))."""
+        """The vector (u_1(t), ..., u_d(t)) at one time t in [0, T].
+
+        u_k(t) = int_t^T e_k(s) ds = sqrt(2T) cos(pi (k - 1/2) t / T) / (pi (k - 1/2)).
+        """
         tt = self._check_time(t)
         return (
             math.sqrt(2.0 * self.T)
             * np.cos(math.pi * self.k_half * tt / self.T)
             / (math.pi * self.k_half)
         )
-
-    def f_map(self, x, t) -> np.ndarray:
-        """The jump-to-coefficient map, componentwise x * u_k(t); linear in x."""
-        return float(x) * self.u_vector(t)
 
     def drift_vector(self, a: float) -> np.ndarray:
         """Coefficient vector of the drift a * t: entries a (-1)^{k+1} sqrt(2) T^{3/2} / (pi^2 (k-1/2)^2)."""

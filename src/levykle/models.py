@@ -1,24 +1,22 @@
 """Registry of square-integrable Levy process models.
 
-A model packages everything the samplers and oracles need: the generating
-triple (a, sigma^2, nu) under an explicit cutoff convention, the Levy density
-pi, the tail integral g(x) = int_x^inf pi(s) ds with its inverse, the
+A model packages everything the samplers and oracles need: the drift and
+Gaussian variance rate of its generating triple, the tail integral
+g(x) = int_x^inf pi(s) ds of its Levy density pi with the inverse, the
 characteristic exponent Psi under the convention E[exp(izX_t)] = exp(-t Psi(z)),
 the variance rate alpha = Psi''(0), and the jump mean m = int x nu(dx).
 
-Two cutoff conventions are supported. Under h0 the compensator is omitted and
-the per-unit-time mean is a + m; under h1 small jumps are fully compensated
-and the mean is the drift coordinate itself. Centering a model rewrites the
-drift so the mean rate vanishes; for finite-variation models the centered h0
-drift is a = -m.
+Drifts follow the h0 convention: small jumps are not compensated, so the
+per-unit-time mean is a + m. Centering a model rewrites the drift so the
+mean rate vanishes, which for these finite-variation models is a = -m.
 
 Processes with two-sided jumps are represented by ``SplitModel``: the
 difference of two independent positive-jump parts plus an optional Brownian
 component, with the removed mean rate stored for deterministic re-centering.
 
-Integrability of the jump measure (square integrability of large jumps, and
-finite variation of small jumps under h0) is checked numerically when a model
-is built; a model failing the check is rejected.
+Integrability of the jump measure (square integrability of large jumps and
+finite variation of small jumps) is checked numerically when a model is
+built; a model failing the check is rejected.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .special import (
 )
 
 __all__ = [
-    "CUTOFF_H0",
-    "CUTOFF_H1",
     "ModelConditionError",
     "GeneratingTriple",
     "TailIntegral",
@@ -51,13 +47,9 @@ __all__ = [
     "make_variance_gamma",
     "from_density",
     "center",
-    "psi_second_derivative",
     "as_split",
     "model_from_config",
 ]
-
-CUTOFF_H0 = "h0"
-CUTOFF_H1 = "h1"
 
 # Numeric windows for the registration-time integrability checks.
 _SMALL_JUMP_WINDOW = (1e-10, 1.0)
@@ -76,43 +68,37 @@ class ModelConditionError(ValueError):
     """A candidate model failed a numeric integrability check at registration."""
 
 
-def _check_conditions(density: Callable, cutoff: str, side: str) -> None:
+def _check_conditions(density: Callable, side: str) -> None:
     # Condition A: large jumps square integrable (membership in the
-    # square-integrable classes). Condition B, h0 only: small jumps of
-    # finite variation.
+    # square-integrable classes). Condition B: small jumps of finite
+    # variation.
     try:
         big = quad(lambda x: x * x * density(x), *_LARGE_JUMP_WINDOW, rtol=_CONDITION_RTOL)
     except QuadratureError as exc:
         raise ModelConditionError(f"{side}: large-jump second moment did not converge") from exc
     if not math.isfinite(big) or big > _CONDITION_BOUND:
         raise ModelConditionError(f"{side}: large-jump second moment too large ({big!r})")
-    if cutoff == CUTOFF_H0:
-        try:
-            small = quad(lambda x: x * density(x), *_SMALL_JUMP_WINDOW, rtol=_CONDITION_RTOL)
-        except QuadratureError as exc:
-            raise ModelConditionError(f"{side}: small-jump first moment did not converge") from exc
-        if not math.isfinite(small) or small > _CONDITION_BOUND:
-            raise ModelConditionError(f"{side}: small jumps not of finite variation ({small!r})")
+    try:
+        small = quad(lambda x: x * density(x), *_SMALL_JUMP_WINDOW, rtol=_CONDITION_RTOL)
+    except QuadratureError as exc:
+        raise ModelConditionError(f"{side}: small-jump first moment did not converge") from exc
+    if not math.isfinite(small) or small > _CONDITION_BOUND:
+        raise ModelConditionError(f"{side}: small jumps not of finite variation ({small!r})")
 
 
 @dataclass(frozen=True)
 class GeneratingTriple:
-    """Drift, Gaussian variance rate, and jump density under a stated cutoff.
+    """Drift (h0 convention) and Gaussian variance rate of a model.
 
-    ``levy_density`` is the density of the jump measure on its support (one
-    side at a time here; two-sided processes are built from two one-sided
-    parts). ``cutoff`` records whether the drift coordinate is stated with
-    small jumps uncompensated (``h0``) or fully compensated (``h1``).
+    The jump part of the triple is the model's ``tail_pos`` (None without
+    jumps), whose ``density`` is the Levy density on its support (one side
+    at a time here; two-sided processes are built from two one-sided parts).
     """
 
     a: float
     sigma2: float
-    levy_density: Callable | None
-    cutoff: str
 
     def __post_init__(self):
-        if self.cutoff not in (CUTOFF_H0, CUTOFF_H1):
-            raise ValueError(f"cutoff must be 'h0' or 'h1', got {self.cutoff!r}")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
 
@@ -155,10 +141,8 @@ class LevyModel:
 
     @property
     def mean_rate(self) -> float:
-        """E[X_1]: drift plus jump mean under h0, the drift alone under h1."""
-        if self.triple.cutoff == CUTOFF_H0:
-            return self.triple.a + self.jump_mean
-        return self.triple.a
+        """E[X_1]: drift plus jump mean."""
+        return self.triple.a + self.jump_mean
 
     @property
     def is_centered(self) -> bool:
@@ -168,7 +152,7 @@ class LevyModel:
 def center(model: LevyModel) -> LevyModel:
     """Remove the mean rate so the returned model satisfies psi'(0) = 0.
 
-    For finite-variation models under h0 the new drift is a = -m. Models that
+    For these finite-variation models the new drift is a = -m. Models that
     are already centered are returned unchanged.
     """
     mu = model.mean_rate
@@ -189,27 +173,6 @@ def center(model: LevyModel) -> LevyModel:
     )
 
 
-def psi_second_derivative(model, h: float = 1e-4) -> float:
-    """alpha = psi''(0) by central differences with one Richardson step.
-
-    Works for both :class:`LevyModel` and :class:`SplitModel`; serves as a
-    cross-check against the stored ``alpha``. A non-finite result signals a
-    model whose large jumps are not square integrable.
-    """
-    psi = model.psi
-
-    def second(step: float) -> float:
-        # psi(0) = 0, so the centered second difference needs two evaluations.
-        return float((psi(step) + psi(-step)).real) / (step * step)
-
-    coarse = second(h)
-    fine = second(h / 2.0)
-    val = (4.0 * fine - coarse) / 3.0
-    if not math.isfinite(val):
-        raise ModelConditionError("psi''(0) is not finite; model violates square integrability")
-    return val
-
-
 def make_brownian(sigma2: float) -> LevyModel:
     """Brownian motion with variance rate sigma2: no jumps, psi(z) = sigma2 z^2 / 2."""
     if sigma2 <= 0.0:
@@ -218,7 +181,7 @@ def make_brownian(sigma2: float) -> LevyModel:
     def psi(z, _s=float(sigma2)):
         return 0.5 * _s * np.asarray(z) ** 2
 
-    triple = GeneratingTriple(a=0.0, sigma2=float(sigma2), levy_density=None, cutoff=CUTOFF_H0)
+    triple = GeneratingTriple(a=0.0, sigma2=float(sigma2))
     return LevyModel(
         name=f"brownian(sigma2={sigma2:g})",
         triple=triple,
@@ -257,12 +220,12 @@ def make_gamma(c: float, rho: float, e1_inverse=None) -> LevyModel:
             return 0.0
         return (_c / _r) * math.exp(-_r * float(_gi(Y)))
 
-    _check_conditions(density, CUTOFF_H0, "gamma")
+    _check_conditions(density, "gamma")
 
     def psi(z, _c=c, _r=rho):
         return _c * np.log(1.0 - 1j * np.asarray(z) / _r)
 
-    triple = GeneratingTriple(a=0.0, sigma2=0.0, levy_density=density, cutoff=CUTOFF_H0)
+    triple = GeneratingTriple(a=0.0, sigma2=0.0)
     tail = TailIntegral(
         density=density,
         g=g,
@@ -309,13 +272,13 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
             return 0.0
         return (Yc / _p) * (1.0 + math.log(_r / Yc))
 
-    _check_conditions(density, CUTOFF_H0, "cp_exponential")
+    _check_conditions(density, "cp_exponential")
 
     def psi(z, _r=rate, _p=rho):
         z = np.asarray(z)
         return -1j * _r * z / (_p - 1j * z)
 
-    triple = GeneratingTriple(a=0.0, sigma2=0.0, levy_density=density, cutoff=CUTOFF_H0)
+    triple = GeneratingTriple(a=0.0, sigma2=0.0)
     tail = TailIntegral(
         density=density,
         g=g,
@@ -333,14 +296,7 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
     )
 
 
-def from_density(
-    name: str,
-    density: Callable,
-    *,
-    cutoff: str = CUTOFF_H0,
-    psi: Callable | None = None,
-    g0: float | None = None,
-) -> LevyModel:
+def from_density(name: str, density: Callable) -> LevyModel:
     """Register a positive-jump model from its Levy density alone.
 
     The tail integral g is computed by quadrature. Its inverse is a
@@ -352,7 +308,7 @@ def from_density(
     its end abscissae, so densities positive only on a sub-interval are
     tolerated. Closed-form factories should be preferred when available.
     """
-    _check_conditions(density, cutoff, name)
+    _check_conditions(density, name)
     jump_mean = quad(lambda x: x * density(x), 0.0, math.inf, rtol=1e-10)
     alpha = quad(lambda x: x * x * density(x), 0.0, math.inf, rtol=1e-10)
 
@@ -373,15 +329,12 @@ def from_density(
         out = np.array([_f(float(v)) for v in xs])
         return out if np.asarray(x).ndim else float(out[0])
 
-    if g0 is None:
-        try:
-            g0_val = quad(density, 0.0, math.inf, rtol=1e-8)
-        except QuadratureError:
-            g0_val = math.inf
-        if g0_val > _CONDITION_BOUND:
-            g0_val = math.inf
-    else:
-        g0_val = float(g0)
+    try:
+        g0_val = quad(density, 0.0, math.inf, rtol=1e-8)
+    except QuadratureError:
+        g0_val = math.inf
+    if g0_val > _CONDITION_BOUND:
+        g0_val = math.inf
 
     xs = np.logspace(*np.log10(_DENSITY_TABLE_X), _DENSITY_TABLE_POINTS)
     pieces = [quad(density, lo, hi, rtol=1e-10, atol=0.0) for lo, hi in zip(xs[:-1], xs[1:])]
@@ -406,18 +359,17 @@ def from_density(
             return 0.0
         return quad(lambda s: float(_gi(s)), 0.0, Yc, rtol=1e-8)
 
-    if psi is None:
-        def _psi_scalar(z, _d=density):
-            zc = complex(z)
-            return -quad(lambda x: (np.exp(1j * zc * x) - 1.0) * _d(x), 0.0, math.inf, rtol=1e-9)
+    def _psi_scalar(z, _d=density):
+        zc = complex(z)
+        return -quad(lambda x: (np.exp(1j * zc * x) - 1.0) * _d(x), 0.0, math.inf, rtol=1e-9)
 
-        def psi(z, _f=_psi_scalar):
-            zs = np.asarray(z)
-            if zs.ndim == 0:
-                return _f(complex(zs))
-            return np.array([_f(complex(v)) for v in zs.ravel()]).reshape(zs.shape)
+    def psi(z, _f=_psi_scalar):
+        zs = np.asarray(z)
+        if zs.ndim == 0:
+            return _f(complex(zs))
+        return np.array([_f(complex(v)) for v in zs.ravel()]).reshape(zs.shape)
 
-    triple = GeneratingTriple(a=0.0, sigma2=0.0, levy_density=density, cutoff=cutoff)
+    triple = GeneratingTriple(a=0.0, sigma2=0.0)
     tail = TailIntegral(
         density=density,
         g=g,
@@ -481,11 +433,6 @@ class SplitModel:
     def psi(self, z):
         """Characteristic exponent of the centered composite (psi'(0) = 0)."""
         return self.psi_uncentered(z) + 1j * np.asarray(z) * self.mean_rate
-
-    def centered_parts(self) -> tuple[LevyModel | None, LevyModel | None]:
-        pos = center(self.pos) if self.pos is not None else None
-        neg = center(self.neg) if self.neg is not None else None
-        return pos, neg
 
 
 def make_variance_gamma(

@@ -3,13 +3,15 @@
 Every check here deliberately avoids the shot-noise code path where possible
 so that failures localize: characteristic exponents of coefficient vectors
 are obtained by adaptive quadrature of the model's closed-form exponent,
-subordinator marginals come from the direct series representation, and
-finite-activity coefficients are integrated piecewise-exactly from the jump
-times of a simulated path using antiderivatives written out locally. The
-only ingredient shared with the samplers is the tail inverse g^{-1}, which
-is pinned separately by roundtrip tests.
+subordinator marginals come from the direct series representation, the
+series centering of a part comes from the radial integral of its jump sizes,
+and finite-activity coefficients are integrated piecewise-exactly from the
+jump times of a simulated path using antiderivatives written out locally.
+The only ingredients shared with the samplers are the tail inverse g^{-1},
+which is pinned separately by roundtrip tests, and the arrival streams.
 
-The series oracles take streams built anywhere, so they validate them:
+The direct series draws its own streams through ``arrival_streams``.
+``brute_force_coeffs`` takes a stream built anywhere, so it validates it:
 strictly increasing arrivals, matched uniforms in [0, 1], and a level that
 reaches the oracle's own truncation level (else ``TruncationCapError``).
 """
@@ -23,15 +25,15 @@ import numpy as np
 import scipy.stats
 
 from .basis import KleBasis
-from .models import LevyModel, SplitModel, center
-from .shotnoise import ArrivalStream, ShotConfig, TruncationCapError, gamma_stop_level
+from .models import LevyModel, SplitModel, TailIntegral, center
+from .shotnoise import ArrivalStream, ShotConfig, TruncationCapError, arrival_streams, gamma_stop_level
 from .special import quad
 
 __all__ = [
     "KsResult",
     "coeff_char_exponent",
-    "empirical_cf",
     "direct_series_subordinator",
+    "centering_vector",
     "brute_force_coeffs",
     "ks_two_sample",
     "mixed_fourth_cumulant",
@@ -65,22 +67,6 @@ def coeff_char_exponent(model, basis: KleBasis, z, rtol: float = 1e-10) -> compl
     return complex(quad(integrand, 0.0, basis.T, rtol=rtol))
 
 
-def empirical_cf(samples, z) -> complex:
-    """(1/N) sum_n exp(i <z, Z_n>) over a set of coefficient samples.
-
-    ``samples`` may be an (N, d) array or an iterable of coefficient-sample
-    objects. The standard error of each component is at most 1/sqrt(N).
-    """
-    if isinstance(samples, np.ndarray):
-        Z = samples
-    else:
-        Z = np.stack([np.asarray(getattr(s, "z", s), dtype=float) for s in samples])
-    if Z.ndim != 2 or Z.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    zz = np.asarray(z, dtype=float)
-    return complex(np.exp(1j * (Z @ zz)).mean())
-
-
 def _arrivals_below(stream: ArrivalStream, stop: float) -> tuple[np.ndarray, np.ndarray]:
     """The stream's arrivals below ``stop`` and their uniforms, once the stream is checked."""
     gammas = np.asarray(stream.gammas, dtype=float)
@@ -97,33 +83,55 @@ def _arrivals_below(stream: ArrivalStream, stop: float) -> tuple[np.ndarray, np.
     return gammas[:n], uniforms[:n]
 
 
-def direct_series_subordinator(
-    model: LevyModel,
-    T: float,
-    t,
-    stream: ArrivalStream,
-    cfg: ShotConfig | None = None,
-):
-    """Sample the uncentered subordinator X_t directly from an arrival stream.
+def direct_series_subordinator(tail: TailIntegral, T: float, t, n: int, part_label: int,
+                               cfg: ShotConfig) -> np.ndarray:
+    """n independent draws of the uncentered subordinator X_t by the direct series.
 
-    Evaluates sum_i g_inv(Gamma_i / T) 1(T U_i < t) with the same truncation
-    level the coefficient samplers use, making it a distributional oracle for
-    the expansion at matching parameters. ``t`` may be a scalar or an array.
-    The stream's level must reach the truncation level.
+    Evaluates sum_i g_inv(Gamma_i / T) 1(T U_i < t) on the streams keyed
+    ``(i, part_label)`` for i < n under ``cfg.seed``, truncated at the level
+    the coefficient samplers use, which makes it a distributional oracle for
+    the expansion at matching parameters. ``t`` is a time or a 1-d array of
+    times; the result has shape (n,) or (n, len(t)). At t = T every retained
+    jump counts. Raises ``TruncationCapError`` when a stream needs more than
+    ``cfg.max_terms`` terms.
     """
-    if model.tail_pos is None:
-        raise ValueError("direct series requires a positive-jump model")
-    if cfg is None:
-        cfg = ShotConfig(seed=0)
-    gammas, uniforms = _arrivals_below(stream, gamma_stop_level(model.tail_pos, T, cfg))
-    sizes = np.atleast_1d(np.asarray(model.tail_pos.g_inv(gammas / T), dtype=float))
-    times = T * uniforms
+    stop = gamma_stop_level(tail, T, cfg)
+    gammas, uniforms, offsets = arrival_streams(cfg.seed, range(n), (part_label,), stop, cfg.max_terms)
     tt = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(tt)
-    vals = np.array([float(sizes[times < ti].sum()) for ti in flat])
-    if tt.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(tt.shape)
+    out = np.zeros((n, tt.size))
+    if offsets[-1]:
+        sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas / T), dtype=float))
+        times = T * uniforms
+        for j, ti in enumerate(tt.ravel()):
+            cs = np.concatenate(([0.0], np.cumsum(np.where(times < ti, sizes, 0.0))))
+            out[:, j] = cs[offsets[1:]] - cs[offsets[:-1]]
+    return out[:, 0] if tt.ndim == 0 else out
+
+
+def centering_vector(tail: TailIntegral, basis: KleBasis, level: float) -> np.ndarray:
+    """Deterministic series centering C at arrival level ``level``.
+
+    Componentwise sqrt(2T) (-1)^{k+1} / (pi^2 (k-1/2)^2) times the radial
+    integral of the jump sizes up to the level, int_0^level g_inv(r/T) dr
+    restricted to r < T g(0): the mean of the truncated jump sum, so the jump
+    sum minus C centers a part independently of the samplers' drift vector.
+    Uses the tail's closed-form primitive when present, quadrature otherwise.
+    """
+    if level <= 0.0:
+        return np.zeros(basis.d)
+    y_top = min(level / basis.T, tail.g0)
+    if tail.inverse_integral is not None:
+        radial = basis.T * tail.inverse_integral(y_top)
+    else:
+        radial = basis.T * quad(
+            lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=1e-10
+        )
+    return (
+        math.sqrt(2.0 * basis.T)
+        * basis.signs
+        / (math.pi**2 * basis.k_half**2)
+        * radial
+    )
 
 
 def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream, grid_n: int = 0) -> np.ndarray:

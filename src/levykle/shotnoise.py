@@ -20,8 +20,6 @@ and drift vector, plus the Gaussian scale; one batched kernel consumes it.
 ``sample_coeffs`` is the batch of one plus its shot record, and
 ``extend_dimension`` adds parts to a row through the kernel's own helper, so
 batch rows, single samples and grown samples agree bitwise by construction.
-``centering_vector`` gives the h1 centering C at a truncation level; on
-finite-activity models the jump sum minus C equals the h0 result.
 
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
 flattened jumps with per-sample row offsets; a sample's rows are cut into
@@ -57,14 +55,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .basis import KleBasis
-from .models import CUTOFF_H0, SplitModel, TailIntegral, center
-from .special import quad
+from .models import SplitModel, TailIntegral, center
 
 __all__ = [
     "PART_POS",
@@ -81,11 +77,9 @@ __all__ = [
     "arrival_stream",
     "shot_sum",
     "gamma_stop_level",
-    "centering_vector",
     "sample_coeffs",
     "sample_coeffs_batch",
     "extend_dimension",
-    "write_coefficients_csv",
 ]
 
 PART_POS = 0
@@ -103,7 +97,6 @@ _ROW_BUDGET = 512
 _TILE = 8
 _ROW_QUANTUM = 16
 _BATCH_ROWS = 1024
-_CENTERING_RTOL = 1e-10
 # numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFF_FFFF
@@ -552,31 +545,6 @@ def gamma_stop_level(tail: TailIntegral, T: float, cfg: ShotConfig) -> float:
     )
 
 
-def centering_vector(tail: TailIntegral, basis: KleBasis, level: float) -> np.ndarray:
-    """Deterministic series centering C at arrival level ``level``.
-
-    Componentwise sqrt(2T) (-1)^{k+1} / (pi^2 (k-1/2)^2) times the radial
-    integral of the jump sizes up to the level, int_0^level g_inv(r/T) dr
-    restricted to r < T g(0). Uses the tail's closed-form primitive when
-    present, quadrature otherwise.
-    """
-    if level <= 0.0:
-        return np.zeros(basis.d)
-    y_top = min(level / basis.T, tail.g0)
-    if tail.inverse_integral is not None:
-        radial = basis.T * tail.inverse_integral(y_top)
-    else:
-        radial = basis.T * quad(
-            lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=_CENTERING_RTOL
-        )
-    return (
-        math.sqrt(2.0 * basis.T)
-        * basis.signs
-        / (math.pi**2 * basis.k_half**2)
-        * radial
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PartRecord:
     """Retained stream of one jump part: arrivals, uniforms, jump sizes, drift."""
@@ -628,17 +596,14 @@ def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
 
     One ``(label, sign, centered tail, stop level, drift a, drift vector)``
     tuple per jump part, and the Gaussian scale (None without a Gaussian
-    part). Jump parts must follow the h0 convention. A stop level is the
-    part's expected term count, so one above ``cfg.max_terms`` raises
-    ``TruncationCapError`` here, before anything is drawn.
+    part). A stop level is the part's expected term count, so one above
+    ``cfg.max_terms`` raises ``TruncationCapError`` here, before anything is
+    drawn.
     """
     parts = []
     for label, sign, part in ((PART_POS, 1.0, model.pos), (PART_NEG, -1.0, model.neg)):
         if part is None:
             continue
-        if part.triple.cutoff != CUTOFF_H0:
-            raise ValueError(f"jump part {part.name!r} uses the {part.triple.cutoff} convention; "
-                             "the samplers expect h0")
         c = center(part)
         stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
         if stop > cfg.max_terms:
@@ -708,10 +673,10 @@ def sample_coeffs(
     """Sample Z for a composite model: Z_pos - Z_neg + Gaussian part.
 
     The batch of one: equal bitwise to row ``sample_index`` of
-    ``sample_coeffs_batch``. Parts must follow the h0 convention and are
-    centered internally; each is sampled on its own substream derived from
-    ``(cfg.seed, sample_index, part)``, and the Gaussian vector uses the
-    variances that make a jump-free model reproduce E[Z_k^2] = lambda_k.
+    ``sample_coeffs_batch``. Parts are centered internally; each is sampled
+    on its own substream derived from ``(cfg.seed, sample_index, part)``, and
+    the Gaussian vector uses the variances that make a jump-free model
+    reproduce E[Z_k^2] = lambda_k.
     """
     Z, n_pos, n_neg, kept = _run(model, basis, cfg, 1, sample_index, 1, keep=keep_record)
     record = ShotRecord(
@@ -775,17 +740,3 @@ def extend_dimension(coeffs: CoefficientSample, new_d: int, shot_record: ShotRec
         sample_index=coeffs.sample_index,
         shot_record=record,
     )
-
-
-def write_coefficients_csv(samples: Iterable[CoefficientSample], fh: IO[str]) -> None:
-    """Dump samples as CSV rows ``sample_id,k,z_k,n_terms_pos,n_terms_neg,seed``.
-
-    Floats use the shortest round-trip representation so files are
-    bit-reproducible and parse back exactly.
-    """
-    fh.write("sample_id,k,z_k,n_terms_pos,n_terms_neg,seed\n")
-    for s in samples:
-        for k in range(s.d):
-            fh.write(
-                f"{s.sample_index},{k + 1},{float(s.z[k])!r},{s.n_terms_pos},{s.n_terms_neg},{s.seed}\n"
-            )

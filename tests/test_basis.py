@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levykle.basis import KleBasis, reconstruct, variance_capture
+from levykle.shotnoise import shot_sum
 from levykle.special import quad
 
 # mpmath references at 50 digits.
@@ -26,6 +27,11 @@ CAPTURE = {
 }
 
 
+def _e(basis, k, t):
+    """e_k(t) read off the eigenfunction matrix."""
+    return float(basis.eigenfunction_matrix(t)[0, k - 1])
+
+
 @pytest.fixture
 def unit_basis():
     return KleBasis(T=1.0, d=6, alpha=1.0)
@@ -33,7 +39,7 @@ def unit_basis():
 
 class TestEigenpairs:
     def test_first_eigenvalue(self, unit_basis):
-        assert unit_basis.eigenvalue(1) == pytest.approx(LAMBDA_1_UNIT, rel=1e-14)
+        assert unit_basis.eigenvalues()[0] == pytest.approx(LAMBDA_1_UNIT, rel=1e-14)
 
     def test_eigenvalues_scale_with_alpha_and_horizon(self):
         b = KleBasis(T=3.0, d=4, alpha=2.0)
@@ -41,8 +47,11 @@ class TestEigenpairs:
         assert np.allclose(b.eigenvalues(), 2.0 * 9.0 * ref.eigenvalues(), rtol=1e-14)
 
     def test_eigenvalue_valid_beyond_d(self, unit_basis):
-        # The closed form holds for every k >= 1, not only the retained ones.
-        assert unit_basis.eigenvalue(50) == pytest.approx(1.0 / (math.pi * 49.5 / 1.0) ** 2 * 1.0, rel=1e-12)
+        # The closed form holds for every k >= 1: a wider basis extends the
+        # eigenvalues of a narrower one.
+        wide = KleBasis(T=1.0, d=50, alpha=1.0)
+        assert wide.eigenvalues()[49] == pytest.approx(1.0 / (math.pi * 49.5 / 1.0) ** 2 * 1.0, rel=1e-12)
+        assert np.array_equal(wide.eigenvalues()[:6], unit_basis.eigenvalues())
 
     def test_eigenfunctions_vanish_at_origin(self, unit_basis):
         assert np.allclose(unit_basis.eigenfunction_matrix(np.array([0.0])), 0.0)
@@ -56,16 +65,15 @@ class TestEigenpairs:
         b = KleBasis(T=2.0, d=4, alpha=1.0)
         for j in range(1, 5):
             for k in range(j, 5):
-                val = quad(lambda t: b.eigenfunction(j, t) * b.eigenfunction(k, t), 0.0, 2.0)
+                val = quad(lambda t: _e(b, j, t) * _e(b, k, t), 0.0, 2.0)
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
 
     def test_time_bounds_enforced(self, unit_basis):
-        with pytest.raises(ValueError):
-            unit_basis.eigenfunction(1, 1.5)
-        with pytest.raises(ValueError):
-            unit_basis.eigenfunction(1, -0.1)
-        with pytest.raises(ValueError):
-            unit_basis.eigenvalue(0)
+        for t in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                unit_basis.eigenfunction_matrix(np.array([t]))
+            with pytest.raises(ValueError):
+                unit_basis.u_vector(t)
 
 
 class TestIntegratedBasis:
@@ -73,23 +81,25 @@ class TestIntegratedBasis:
         b = KleBasis(T=1.5, d=3, alpha=1.0)
         for k in (1, 2, 3):
             for t in (0.0, 0.4, 1.1):
-                direct = quad(lambda s: b.eigenfunction(k, s), t, 1.5)
-                assert b.u(k, t) == pytest.approx(direct, abs=1e-12)
+                direct = quad(lambda s: _e(b, k, s), t, 1.5)
+                assert b.u_vector(t)[k - 1] == pytest.approx(direct, abs=1e-12)
 
     def test_u_vanishes_at_horizon(self, unit_basis):
         assert np.max(np.abs(unit_basis.u_vector(1.0))) < 1e-15
 
     def test_f_map_reference_point(self):
+        # The jump-to-coefficient map f(x, t) = x u(t), as the sampler applies
+        # it: one jump of size 1 at time 0.
         b = KleBasis(T=1.0, d=2, alpha=1.0)
-        assert b.f_map(1.0, 0.0) == pytest.approx(F_MAP_UNIT, rel=1e-14)
+        assert shot_sum(b, np.array([1.0]), np.array([0.0])) == pytest.approx(F_MAP_UNIT, rel=1e-14)
 
     @given(x=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
            scale=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_f_map_linear_in_jump_size(self, x, scale):
         b = KleBasis(T=1.0, d=3, alpha=1.0)
-        base = b.f_map(x, 0.3)
-        scaled = b.f_map(scale * x, 0.3)
+        base = shot_sum(b, np.array([x]), np.array([0.3]))
+        scaled = shot_sum(b, np.array([scale * x]), np.array([0.3]))
         assert np.allclose(scaled, scale * base, rtol=1e-12, atol=1e-12)
 
     def test_drift_vector_reference_and_decay(self):
@@ -105,7 +115,7 @@ class TestIntegratedBasis:
         b = KleBasis(T=2.0, d=3, alpha=1.0)
         drift = b.drift_vector(0.7)
         for k in (1, 2, 3):
-            direct = quad(lambda t: 0.7 * t * b.eigenfunction(k, t), 0.0, 2.0)
+            direct = quad(lambda t: 0.7 * t * _e(b, k, t), 0.0, 2.0)
             assert drift[k - 1] == pytest.approx(direct, rel=1e-10)
 
     def test_gaussian_variances_match_eigenvalues_when_alpha_is_sigma2(self):

@@ -23,7 +23,6 @@ from levykle.oracles import (
     brute_force_coeffs,
     coeff_char_exponent,
     direct_series_subordinator,
-    empirical_cf,
     ks_two_sample,
     mixed_fourth_cumulant,
 )
@@ -32,6 +31,8 @@ from levykle.shotnoise import (
     ShotConfig,
     TruncationCapError,
     arrival_stream,
+    arrival_streams,
+    gamma_stop_level,
     sample_coeffs,
 )
 
@@ -75,54 +76,77 @@ class TestCoeffCharExponent:
 
 
 class TestEmpiricalCf:
-    def test_single_zero_sample(self):
-        assert empirical_cf(np.zeros((1, 3)), np.ones(3)) == 1.0 + 0.0j
-
-    def test_modulus_bounded_by_one(self):
-        rng = np.random.default_rng(0)
-        Z = rng.normal(size=(500, 4))
-        for _ in range(5):
-            z = rng.normal(size=4)
-            assert abs(empirical_cf(Z, z)) <= 1.0 + 1e-12
-
     def test_matches_exponent_for_gaussian_coeffs(self):
+        # The empirical characteristic function as criterion 3 and cf_suite
+        # compute it, on exact Gaussian coefficient draws.
         bm = make_brownian(1.0)
         basis = KleBasis(T=1.0, d=3, alpha=1.0)
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(200000, 3)) * np.sqrt(basis.eigenvalues())
         z = np.array([0.8, -0.5, 0.3])
         target = np.exp(-coeff_char_exponent(bm, basis, z))
-        assert abs(empirical_cf(Z, z) - target) < 4.0 / math.sqrt(200000)
+        assert abs(np.exp(1j * (Z @ z)).mean() - target) < 4.0 / math.sqrt(200000)
 
 
 class TestDirectSeries:
     def test_zero_time_is_zero(self):
         g = make_gamma(1.0, 1.0)
-        stream = arrival_stream(3, 4096)
-        assert direct_series_subordinator(g, 1.0, 0.0, stream) == 0.0
+        vals = direct_series_subordinator(g.tail_pos, 1.0, 0.0, 50, 7, ShotConfig(seed=3))
+        assert vals.shape == (50,)
+        assert np.array_equal(vals, np.zeros(50))
 
     def test_nondecreasing_in_time(self):
-        g = make_gamma(1.0, 1.0)
-        stream = arrival_stream(3, 4096)
+        # One stream is nondecreasing exactly: its values are running sums
+        # of nonnegative sizes, and rounding is monotone. In a batch each
+        # value is the difference of two running totals over all samples'
+        # terms (the arithmetic that keeps t = T bitwise), so it may dip by
+        # at most the rounding of those totals, 2 n eps times the total.
+        tail = make_gamma(1.0, 1.0).tail_pos
+        cfg = ShotConfig(seed=3)
         ts = np.linspace(0.0, 1.0, 21)
-        vals = direct_series_subordinator(g, 1.0, ts, stream)
-        assert np.all(np.diff(vals) >= 0.0)
+        one = direct_series_subordinator(tail, 1.0, ts, 1, 7, cfg)
+        assert np.all(np.diff(one, axis=1) >= 0.0)
+        vals = direct_series_subordinator(tail, 1.0, ts, 50, 7, cfg)
+        assert vals.shape == (50, 21)
+        assert np.array_equal(vals[0], one[0])
+        n_terms = arrival_streams(cfg.seed, range(50), (7,), gamma_stop_level(tail, 1.0, cfg))[2][-1]
+        slack = 2.0 * n_terms * np.finfo(float).eps * vals[:, -1].sum()
+        assert np.all(np.diff(vals, axis=1) >= -slack)
+        assert np.array_equal(vals[:, -1], direct_series_subordinator(tail, 1.0, 1.0, 50, 7, cfg))
 
     def test_terminal_mean_matches_model(self):
+        # Finite activity: every jump is retained, so E[X_t] = t * mean_rate
+        # exactly, at each time of the grid.
         cp = make_cp_exponential(rate=3.0, rho=1.5)
-        T = 1.0
-        vals = np.array([
-            direct_series_subordinator(cp, T, T, arrival_stream(1000 + i, 256))
-            for i in range(2000)
-        ])
-        target = T * cp.mean_rate
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - target) < 4.0 * se
+        T = 2.0
+        ts = np.array([0.3, 1.0, 1.7, T])
+        vals = direct_series_subordinator(cp.tail_pos, T, ts, 20000, 7, ShotConfig(seed=9))
+        se = vals.std(axis=0, ddof=1) / math.sqrt(len(vals))
+        assert np.all(np.abs(vals.mean(axis=0) - ts * cp.mean_rate) < 4.0 * se)
 
     def test_short_stream_raises(self):
+        # Gamma(1,1) keeps about 45 terms per stream, far above a cap of 8.
         g = make_gamma(1.0, 1.0)
         with pytest.raises(TruncationCapError):
-            direct_series_subordinator(g, 1.0, 1.0, arrival_stream(3, 8))
+            direct_series_subordinator(g.tail_pos, 1.0, 1.0, 4, 7, ShotConfig(seed=3, max_terms=8))
+
+    def test_terminal_value_is_sum_of_retained_jumps(self):
+        # At t = T every jump counts: per sample, the cumulative sum of the
+        # inverted arrival levels between the stream offsets.
+        tail = make_gamma(1.0, 1.0).tail_pos
+        cfg = ShotConfig(seed=7)
+        stop = gamma_stop_level(tail, 1.0, cfg)
+        gammas, _, offsets = arrival_streams(cfg.seed, range(300), (8,), stop, cfg.max_terms)
+        cs = np.concatenate(([0.0], np.cumsum(tail.g_inv(gammas / 1.0))))
+        want = cs[offsets[1:]] - cs[offsets[:-1]]
+        assert np.array_equal(direct_series_subordinator(tail, 1.0, 1.0, 300, 8, cfg), want)
+
+    def test_distinct_part_labels_are_distinct_draws(self):
+        tail = make_gamma(1.0, 1.0).tail_pos
+        cfg = ShotConfig(seed=7)
+        a = direct_series_subordinator(tail, 1.0, 0.5, 100, 7, cfg)
+        assert np.array_equal(a, direct_series_subordinator(tail, 1.0, 0.5, 100, 7, cfg))
+        assert not np.any(a == direct_series_subordinator(tail, 1.0, 0.5, 100, 8, cfg))
 
 
 class TestBruteForce:
@@ -175,14 +199,13 @@ class TestBruteForce:
 
 
 class TestStreamChecks:
-    """The series oracles validate the streams handed to them."""
+    """The brute-force oracle validates the streams handed to it."""
 
     @staticmethod
     def _oracles():
         cp = center(make_cp_exponential(rate=3.0, rho=1.5))
         basis = KleBasis(T=1.0, d=3, alpha=cp.alpha)
-        return (lambda s: direct_series_subordinator(cp, 1.0, 1.0, s),
-                lambda s: brute_force_coeffs(cp, basis, s))
+        return (lambda s: brute_force_coeffs(cp, basis, s),)
 
     def test_accepts_a_drawn_stream(self):
         for oracle in self._oracles():

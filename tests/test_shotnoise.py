@@ -1,6 +1,5 @@
 """Series samplers: streams, truncation, centering, determinism, growth."""
 
-import io
 import math
 import os
 import subprocess
@@ -14,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levykle.basis import KleBasis
-from levykle.models import SplitModel, as_split, center, make_cp_exponential, make_gamma
+from levykle.models import SplitModel, as_split, center, make_brownian, make_cp_exponential, make_gamma
+from levykle.oracles import centering_vector
 from levykle.shotnoise import (
     PART_GAUSS,
     PART_NEG,
@@ -23,15 +23,14 @@ from levykle.shotnoise import (
     TruncationCapError,
     arrival_stream,
     arrival_streams,
-    centering_vector,
     derive_rng,
     gamma_stop_level,
     sample_coeffs,
     sample_coeffs_batch,
     shot_sum,
     extend_dimension,
-    write_coefficients_csv,
 )
+from levykle.validation import moment_suite
 
 
 @pytest.fixture
@@ -132,7 +131,6 @@ class TestStreamDerivation:
     @example(seed=0, start=2**32 - 2, n=4)
     @settings(max_examples=15, deadline=None)
     def test_gaussian_rows_match_numpy(self, seed, start, n):
-        from levykle.models import make_brownian
         bm = as_split(make_brownian(1.0))
         basis = KleBasis(T=1.0, d=5, alpha=1.0)
         Z, _, _ = sample_coeffs_batch(bm, basis, ShotConfig(seed=seed), n, start_index=start)
@@ -216,7 +214,7 @@ class TestShotSum:
     def test_single_jump_matches_f_map(self):
         basis = KleBasis(T=2.0, d=5, alpha=1.0)
         val = shot_sum(basis, np.array([1.7]), np.array([0.35]))
-        assert np.allclose(val, basis.f_map(1.7, 2.0 * 0.35), rtol=1e-13)
+        assert np.allclose(val, 1.7 * basis.u_vector(2.0 * 0.35), rtol=1e-13)
 
     def test_linear_in_sizes(self):
         basis = KleBasis(T=1.0, d=3, alpha=1.0)
@@ -377,18 +375,6 @@ class TestSamplers:
         b = sample_coeffs(vg, basis, cfg, sample_index=1)
         assert not np.array_equal(a.z, b.z)
 
-    def test_finite_variation_route_preconditions(self):
-        # Every sampler rejects an h1-convention part: it would otherwise be
-        # centered to a = 0 and its jumps added uncompensated.
-        basis = KleBasis(T=1.0, d=3, alpha=1.0)
-        cp = make_cp_exponential(3.0, 1.5)
-        h1 = replace(cp, triple=replace(cp.triple, cutoff="h1"))
-        for model in (as_split(h1), SplitModel("mixed", pos=cp, neg=h1)):
-            with pytest.raises(ValueError, match="h0"):
-                sample_coeffs(model, basis, ShotConfig(seed=1))
-            with pytest.raises(ValueError, match="h0"):
-                sample_coeffs_batch(model, basis, ShotConfig(seed=1), 4)
-
     def test_centered_route_requires_centered_model(self):
         # The samplers center each part themselves: an uncentered model
         # samples exactly as its centered version, with drift a = -m.
@@ -404,7 +390,7 @@ class TestSamplers:
         assert np.array_equal(Z_raw, Z_done)
 
     @staticmethod
-    def _h1_route(model, basis, cfg, idx):
+    def _centering_route(model, basis, cfg, idx):
         # Jump sum of the kept record compensated by the series centering at
         # the truncation level instead of the drift vector.
         s = sample_coeffs(as_split(model), basis, cfg, sample_index=idx, keep_record=True)
@@ -419,7 +405,7 @@ class TestSamplers:
         basis = KleBasis(T=2.0, d=8, alpha=cp_centered.alpha)
         cfg = ShotConfig(seed=9)
         for idx in range(6):
-            a, b = self._h1_route(cp_centered, basis, cfg, idx)
+            a, b = self._centering_route(cp_centered, basis, cfg, idx)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_composite_route_equals_centering_route_for_gamma(self):
@@ -429,7 +415,7 @@ class TestSamplers:
         basis = KleBasis(T=1.0, d=5, alpha=g.alpha)
         cfg = ShotConfig(seed=13)
         for idx in range(4):
-            a, b = self._h1_route(g, basis, cfg, idx)
+            a, b = self._centering_route(g, basis, cfg, idx)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_term_counts_near_expected_level(self, vg):
@@ -458,7 +444,6 @@ class TestBatchSampler:
         assert np.array_equal(a, b)
 
     def test_gaussian_part_variances(self):
-        from levykle.models import make_brownian
         bm = as_split(make_brownian(1.0))
         basis = KleBasis(T=1.0, d=4, alpha=1.0)
         Z, n_pos, _ = sample_coeffs_batch(bm, basis, ShotConfig(seed=3), 4000)
@@ -565,17 +550,46 @@ class TestOneKernel:
             assert np.array_equal(Z[j], sample_coeffs(cp, basis, cfg, sample_index=9 + j).z)
 
 
-class TestCsvOutput:
-    def test_round_trip_full_precision(self, vg):
-        basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
-        cfg = ShotConfig(seed=12)
-        samples = [sample_coeffs(vg, basis, cfg, sample_index=i) for i in range(2)]
-        buf = io.StringIO()
-        write_coefficients_csv(samples, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "sample_id,k,z_k,n_terms_pos,n_terms_neg,seed"
-        assert len(lines) == 1 + 2 * 3
-        row = lines[1].split(",")
-        assert int(row[0]) == 0 and int(row[1]) == 1
-        assert float(row[2]) == samples[0].z[0]
-        assert int(row[5]) == 12
+class TestExtremeHorizon:
+    """Moments and prefix stability at T = 1e-6 and T = 1e6.
+
+    The compound Poisson rate 20 / T keeps about 20 jumps per sample at
+    either horizon. Gamma(1, 1) at T = 1e-6 keeps about 4.5e-5 jumps per
+    sample, so its moments cannot be checked at a feasible N; only its
+    prefix stability is.
+    """
+
+    @staticmethod
+    def _models(T):
+        return {"brownian": as_split(make_brownian(1.0)),
+                "cp": as_split(make_cp_exponential(rate=20.0 / T, rho=1.0))}
+
+    @pytest.mark.parametrize("T", [1e-6, 1e6])
+    def test_moments_match_eigenvalues(self, T):
+        for name, model in self._models(T).items():
+            basis = KleBasis(T=T, d=5, alpha=model.alpha)
+            Z, _, _ = sample_coeffs_batch(model, basis, ShotConfig(seed=31), 4000)
+            checks = {c["name"]: c for c in moment_suite(model, basis, Z)}
+            for check in ("moments.mean_zero", "moments.variance_eigenvalue"):
+                assert checks[check]["passed"], (name, T, checks[check])
+
+    @pytest.mark.parametrize("T", [1e-6, 1e6])
+    def test_prefix_stable(self, T):
+        models = self._models(T)
+        if T < 1.0:
+            models["gamma"] = as_split(make_gamma(1.0, 1.0))
+        cfg = ShotConfig(seed=32)
+        for name, model in models.items():
+            narrow, _, _ = sample_coeffs_batch(model, KleBasis(T=T, d=5, alpha=model.alpha), cfg, 200)
+            wide, _, _ = sample_coeffs_batch(model, KleBasis(T=T, d=50, alpha=model.alpha), cfg, 200)
+            assert np.all(np.isfinite(wide)), name
+            assert np.array_equal(wide[:, :5], narrow), name
+
+    def test_gamma_long_horizon_exceeds_term_cap_before_drawing(self):
+        # The stop level 45.47 * T * c = 4.5e7 is the expected term count,
+        # far above the default cap of 1e6 terms.
+        model = as_split(make_gamma(1.0, 1.0))
+        basis = KleBasis(T=1e6, d=5, alpha=model.alpha)
+        with pytest.raises(TruncationCapError) as err:
+            sample_coeffs_batch(model, basis, ShotConfig(seed=33), 2)
+        assert err.value.n_drawn == 0

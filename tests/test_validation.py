@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from levykle.basis import KleBasis
 from levykle.models import (
     as_split,
     from_density,
@@ -14,8 +15,9 @@ from levykle.models import (
     make_gamma,
     make_variance_gamma,
 )
-from levykle.shotnoise import ShotConfig
-from levykle.validation import _direct_terminal_samples, run_validation
+from levykle.oracles import direct_series_subordinator
+from levykle.shotnoise import ShotConfig, sample_coeffs_batch
+from levykle.validation import dependence_suite, run_validation
 
 
 def _failures(report):
@@ -80,15 +82,41 @@ class TestDirectTerminalSamples:
     def test_deterministic_and_distinct_parts(self):
         tail = make_gamma(1.0, 1.0).tail_pos
         cfg = ShotConfig(seed=7)
-        a = _direct_terminal_samples(tail, 1.0, 100, 7, cfg)
-        b = _direct_terminal_samples(tail, 1.0, 100, 7, cfg)
-        c = _direct_terminal_samples(tail, 1.0, 100, 8, cfg)
+        a = direct_series_subordinator(tail, 1.0, 1.0, 100, 7, cfg)
+        b = direct_series_subordinator(tail, 1.0, 1.0, 100, 7, cfg)
+        c = direct_series_subordinator(tail, 1.0, 1.0, 100, 8, cfg)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(a >= 0.0)
 
     def test_mean_tracks_model_rate(self):
         cp = make_cp_exponential(3.0, 1.5)
-        vals = _direct_terminal_samples(cp.tail_pos, 2.0, 20000, 7, ShotConfig(seed=9))
+        vals = direct_series_subordinator(cp.tail_pos, 2.0, 2.0, 20000, 7, ShotConfig(seed=9))
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0 * cp.mean_rate) < 4.0 * se
+
+
+class TestDependenceSuite:
+    def test_positivity_underpowered_near_the_gate(self):
+        # gamma(c=20, rho=1), N = 5000, seed 7: the oracle 2.19 sits at 5.7
+        # SE, where a correct sampler misses the 4 SE gate about 4.5% of the
+        # time; this seed reads cov / SE = 2.73 while the covariance agrees
+        # with the oracle within 1.2 SE. The gate applies from 6.33 SE on.
+        model = as_split(make_gamma(20.0, 1.0))
+        basis = KleBasis(T=1.0, d=2, alpha=model.alpha)
+        Z, _, _ = sample_coeffs_batch(model, basis, ShotConfig(seed=7), 5000)
+        checks = {c["name"]: c for c in dependence_suite(model, basis, Z)}
+        assert checks["dependence.squared_covariance"]["passed"]
+        positive = checks["dependence.positive"]
+        assert positive["statistic"] == pytest.approx(2.734, abs=1e-3)
+        assert positive["passed"] and positive["detail"].startswith("underpowered")
+
+    def test_positivity_gate_rejects_independent_coefficients(self):
+        # Independent Gaussian coefficients with VG's variances: the oracle
+        # is far above 6.33 SE, so positivity is gated, and it fails.
+        vg = make_variance_gamma()
+        basis = KleBasis(T=1.0, d=2, alpha=vg.alpha)
+        Z = np.random.default_rng(0).normal(size=(20000, 2)) * np.sqrt(basis.eigenvalues())
+        checks = {c["name"]: c for c in dependence_suite(vg, basis, Z)}
+        assert not checks["dependence.squared_covariance"]["passed"]
+        assert not checks["dependence.positive"]["passed"]
