@@ -115,17 +115,11 @@ def centering_vector(tail: TailIntegral, basis: KleBasis, level: float) -> np.nd
     integral of the jump sizes up to the level, int_0^level g_inv(r/T) dr
     restricted to r < T g(0): the mean of the truncated jump sum, so the jump
     sum minus C centers a part independently of the samplers' drift vector.
-    Uses the tail's closed-form primitive when present, quadrature otherwise.
+    The radial integral is the tail's ``inverse_integral``.
     """
     if level <= 0.0:
         return np.zeros(basis.d)
-    y_top = min(level / basis.T, tail.g0)
-    if tail.inverse_integral is not None:
-        radial = basis.T * tail.inverse_integral(y_top)
-    else:
-        radial = basis.T * quad(
-            lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=1e-10
-        )
+    radial = basis.T * tail.inverse_integral(min(level / basis.T, tail.g0))
     return (
         math.sqrt(2.0 * basis.T)
         * basis.signs

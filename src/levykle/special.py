@@ -7,6 +7,12 @@ This module provides the numerical kernel shared by the rest of the package:
   behind an argument check.
 * ``MonotoneInverseTable`` -- a tabulated inverse of a strictly decreasing
   function with local cubic interpolation and an optional Newton polish.
+  The interval of an argument comes from a guide table whose cells are
+  uniform in an index coordinate (``y`` above 1, ``1 + log y`` below it for
+  positive breakpoints), followed by a fixed number of bisection passes; the
+  cubic is evaluated by Horner's rule on per-interval coefficients. Both are
+  derived from the table at construction: the default E1 table gets 487705
+  cells and one pass, and holds 6.8 MB beside its 3.2 MB of points.
 * ``build_e1_inverse`` -- the table for the inverse of ``E1``, the workhorse
   behind jump-size generation for gamma-type tail integrals.
 * ``quad`` -- adaptive quadrature with componentwise complex support, used by
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,9 +49,11 @@ E1_TABLE_DOMAIN = (6.226e-22, 45.47)
 E1_TABLE_POINTS = 200_000
 E1_TABLE_SPACING_BOUND = 0.00231
 
-# Inverse tables interpolate by Lagrange's formula on 4 neighbouring points
-# (cubic).
+# Inverse tables interpolate by the cubic through 4 neighbouring points.
 _STENCIL = 4
+# Intervals per block when building the Horner coefficients: bounds the
+# build's temporaries to about 2 MB.
+_COEFF_BLOCK = 1 << 14
 
 
 class QuadratureError(RuntimeError):
@@ -88,15 +96,102 @@ def exp_integral_e1(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def _index_coordinate(y: np.ndarray, log_below_one: bool) -> np.ndarray:
+    """The coordinate in which an inverse table's guide cells are uniform.
+
+    ``y`` above 1 and ``1 + log y`` below it when ``log_below_one`` (tables
+    whose breakpoints are all positive and may span many decades), ``y``
+    itself otherwise. Continuous and increasing in ``y``; arguments must be
+    positive when ``log_below_one``.
+    """
+    if not log_below_one:
+        return y
+    u = np.log(y)
+    u += 1.0
+    np.copyto(u, y, where=y >= 1.0)
+    return u
+
+
+def _newton_cubic(out, x0, x1, z2, z3, f0, f1, f2, f3) -> None:
+    """Write into ``out`` (3 rows) the power coefficients ``c1, c2, c3`` in
+    ``t = (y - x0) / (x1 - x0)`` of the cubic through ``(x0, f0), (x1, f1),
+    (z2, f2), (z3, f3)``, elementwise.
+
+    Newton divided differences in t, over the nodes in the order
+    ``t = 0, 1, t2, t3``; the constant coefficient is ``f0``.
+    """
+    h = x1 - x0
+    t2 = (z2 - x0) / h
+    t3 = (z3 - x0) / h
+    d01 = f1 - f0
+    d12 = (f2 - f1) / (t2 - 1.0)
+    d012 = (d12 - d01) / t2
+    d123 = ((f3 - f2) / (t3 - t2) - d12) / (t3 - 1.0)
+    d0123 = (d123 - d012) / t3
+    out[0] = d01 - d012 + d0123 * t2
+    out[1] = d012 - d0123 * (1.0 + t2)
+    out[2] = d0123
+
+
+def _cubic_coefficients(bp: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Horner coefficients of every interval's 4-point interpolating cubic.
+
+    Interval ``i`` (``bp[i] <= y < bp[i+1]``) interpolates through the
+    stencil ``i-1 .. i+2``, shifted inside the table at its two ends, in the
+    local coordinate ``t = (y - bp[i]) / (bp[i+1] - bp[i])``; the cubic is
+    ``vals[i] + t (c1 + t (c2 + t c3))``. Interior intervals are worked in
+    blocks of slices so the build's temporaries stay small.
+
+    Returns a ``(3, len(bp) - 1)`` array of ``c1, c2, c3``.
+    """
+    n = bp.size
+    coef = np.empty((3, n - 1))
+    for lo in range(1, n - 2, _COEFF_BLOCK):
+        hi = min(lo + _COEFF_BLOCK, n - 2)
+        _newton_cubic(
+            coef[:, lo:hi], bp[lo:hi], bp[lo + 1:hi + 1], bp[lo - 1:hi - 1], bp[lo + 2:hi + 2],
+            vals[lo:hi], vals[lo + 1:hi + 1], vals[lo - 1:hi - 1], vals[lo + 2:hi + 2],
+        )
+    # The first and last intervals share their stencils with their
+    # neighbours: 0..3 and n-4..n-1.
+    ends, z2, z3 = np.array([0, n - 2]), np.array([3, n - 3]), np.array([2, n - 4])
+    end_coef = np.empty((3, 2))
+    _newton_cubic(end_coef, bp[ends], bp[ends + 1], bp[z2], bp[z3],
+                  vals[ends], vals[ends + 1], vals[z2], vals[z3])
+    coef[:, ends] = end_coef
+    return coef
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneInverseTable:
     """Tabulated inverse of a strictly decreasing function.
 
     ``breakpoints`` holds the inverse's argument grid (values of the forward
     function, strictly increasing) and ``values`` the corresponding abscissae
-    of the forward function (strictly decreasing). Evaluation performs local
-    cubic Lagrange interpolation on 4 neighbouring points followed by one
-    Newton polish step through the forward function when one is attached.
+    of the forward function (strictly decreasing). Evaluation locates the
+    interval ``bp[i] <= y < bp[i+1]`` (clipped to the first and last
+    interval), evaluates the cubic through the 4 neighbouring points
+    ``i-1 .. i+2`` (shifted inside the table at its ends) by Horner's rule
+    on precomputed coefficients, and applies one Newton polish step through
+    the forward function when one is attached.
+
+    The interval comes from a guide table (indexed search, Chen & Asau 1974)
+    instead of a binary search over all breakpoints. Guide cells are uniform
+    in an index coordinate u(y): ``u = y`` above 1 and ``1 + log y`` below
+    it when every breakpoint is positive, ``u = y`` otherwise. The cell
+    count is ``min(ceil(u-range / smallest u-gap), 4 n)``; each cell stores
+    the first interval its bracket can hold, and a fixed number of
+    bisection passes, ``ceil(log2(widest bracket + 1))``, finishes the
+    search by comparing ``y`` with breakpoints, so the located interval is
+    the one ``searchsorted`` would give. The default E1 table gets 487705
+    cells holding at most one breakpoint each, hence one pass; a
+    ``from_density`` table (n = 4000, u = log g) hits the 4n cap, 16000
+    cells, and takes 4 to 12 passes, never more than a binary search over
+    it. Everything is built once in ``__post_init__`` and never changes, so
+    a table may be shared across threads: three float64 arrays of n - 1
+    coefficients and the int32 guide of cells + 1 entries, 6.8 MB for the
+    default table (its breakpoints and values take 3.2 MB), built in about
+    20 ms with 1.5 MB of temporaries.
 
     Out-of-domain arguments clamp: ``y > domain_hi`` returns the abscissa at
     the ``domain_hi`` boundary, while ``y < domain_lo`` returns 0, the
@@ -110,6 +205,15 @@ class MonotoneInverseTable:
     forward: Callable | None = None
     forward_derivative: Callable | None = None
     spacing_bound: float | None = None
+    # Built in __post_init__: the index coordinate's kind, origin and cells
+    # per unit, the guide (interval brackets of the cells), the number of
+    # bisection passes, and the per-interval Horner coefficients.
+    _log_below_one: bool = field(init=False, repr=False)
+    _u0: float = field(init=False, repr=False)
+    _cells_per_u: float = field(init=False, repr=False)
+    _guide: np.ndarray = field(init=False, repr=False)
+    _passes: int = field(init=False, repr=False)
+    _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -132,35 +236,62 @@ class MonotoneInverseTable:
                 )
         if not (self.domain_lo <= bp[0] and bp[-1] <= self.domain_hi + 1e-12 * abs(self.domain_hi)):
             raise ValueError("breakpoints must cover [domain_lo, domain_hi]")
+        self._build_guide(bp)
+        object.__setattr__(self, "_coefficients", _cubic_coefficients(bp, vals))
+
+    def _build_guide(self, bp: np.ndarray) -> None:
+        n = bp.size
+        log_below_one = bool(bp[0] > 0.0)
+        u = _index_coordinate(bp, log_below_one)
+        u0 = float(u[0])
+        u_range = float(u[-1]) - u0
+        min_gap = float(np.min(np.diff(u)))
+        n_cells = 4 * n if min_gap <= 0.0 else min(math.ceil(u_range / min_gap), 4 * n)
+        cells_per_u = n_cells / u_range
+        scaled = u - u0
+        scaled *= cells_per_u
+        cell = np.minimum(scaled, n_cells - 1, out=scaled).astype(np.intp)
+        del u, scaled  # before the guide is allocated: a lower build peak
+        # guide[k] is the last interval whose left breakpoint lies in a cell
+        # before k (0 if none): breakpoint j is that for the cells
+        # cell[j-1] + 1 .. cell[j], so the guide is a run-length expansion.
+        # Cell k's bracket is guide[k] .. guide[k+1].
+        runs = np.diff(cell, prepend=-1, append=n_cells)
+        guide = np.repeat(np.clip(np.arange(-1, n, dtype=np.int32), 0, n - 2), runs)
+        widest = int(np.max(np.diff(guide)))
+        object.__setattr__(self, "_log_below_one", log_below_one)
+        object.__setattr__(self, "_u0", u0)
+        object.__setattr__(self, "_cells_per_u", cells_per_u)
+        object.__setattr__(self, "_guide", guide)
+        object.__setattr__(self, "_passes", math.ceil(math.log2(widest + 1)))
 
     @property
     def max_gap(self) -> float:
         """Largest spacing between adjacent breakpoints."""
         return float(np.max(np.diff(self.breakpoints)))
 
+    def _locate(self, y: np.ndarray) -> np.ndarray:
+        """Interval index ``clip(searchsorted(bp, y, "right") - 1, 0, n - 2)``."""
+        bp, guide = self.breakpoints, self._guide
+        # Arguments below the first breakpoint share its cell (interval 0).
+        # The cell comes from the same operations as the breakpoints' cells
+        # in _build_guide, so an argument equal to a breakpoint gets its cell.
+        u = _index_coordinate(np.maximum(y, bp[0]), self._log_below_one)
+        cell = np.minimum((u - self._u0) * self._cells_per_u, guide.size - 2).astype(np.intp)
+        i = guide.take(cell).astype(np.intp)
+        hi = guide[1:].take(cell)
+        for p in range(self._passes - 1, -1, -1):
+            j = np.minimum(i + (1 << p), hi)
+            i = np.where(bp.take(j) <= y, j, i)
+        return i
+
     def _interpolate(self, y: np.ndarray) -> np.ndarray:
-        bp, vals = self.breakpoints, self.values
-        m = _STENCIL
-        idx = np.searchsorted(bp, y, side="right") - 1
-        lo = np.clip(idx - (m - 1) // 2, 0, bp.size - m)
-        offs = np.arange(m)
-        nodes = bp[lo[:, None] + offs]
-        fvals = vals[lo[:, None] + offs]
-        # Shift and scale the local stencil to O(1) coordinates so the
-        # Lagrange weights stay well conditioned at y-gaps near 1e-23.
-        center = nodes[:, :1]
-        scale = nodes[:, -1:] - center
-        t = (y[:, None] - center) / scale
-        tn = (nodes - center) / scale
-        out = np.zeros_like(y)
-        for i in range(m):
-            w = np.ones_like(y)
-            for j in range(m):
-                if j == i:
-                    continue
-                w *= (t[:, 0] - tn[:, j]) / (tn[:, i] - tn[:, j])
-            out += w * fvals[:, i]
-        return out
+        i = self._locate(y)
+        c1, c2, c3 = self._coefficients
+        bp = self.breakpoints
+        x0 = bp.take(i)
+        t = (y - x0) / (bp.take(i + 1) - x0)
+        return self.values.take(i) + t * (c1.take(i) + t * (c2.take(i) + t * c3.take(i)))
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=float)

@@ -30,6 +30,7 @@ from levykle.shotnoise import (
     shot_sum,
     extend_dimension,
 )
+from levykle.special import quad
 from levykle.validation import moment_suite
 
 
@@ -341,13 +342,17 @@ class TestCentering:
         assert np.array_equal(centering_vector(g.tail_pos, basis, 0.0), np.zeros(3))
 
     def test_closed_form_matches_quadrature_fallback(self):
-        g = make_gamma(1.0, 1.0)
+        # The gamma tail's closed-form primitive against quadrature of its
+        # g_inv, which runs through the E1 inverse table.
+        tail = make_gamma(1.0, 1.0).tail_pos
         basis = KleBasis(T=1.5, d=4, alpha=1.0)
-        bare = replace(g.tail_pos, inverse_integral=None)
         for level in (0.5, 3.0, 20.0):
-            a = centering_vector(g.tail_pos, basis, level)
-            b = centering_vector(bare, basis, level)
-            assert np.allclose(a, b, rtol=1e-8)
+            y_top = level / basis.T
+            radial = quad(lambda s: float(tail.g_inv(s)), 0.0, y_top, rtol=1e-10)
+            assert tail.inverse_integral(y_top) == pytest.approx(radial, rel=1e-8)
+            expected = (math.sqrt(2.0 * basis.T) * basis.signs
+                        / (math.pi**2 * basis.k_half**2) * basis.T * radial)
+            assert np.allclose(centering_vector(tail, basis, level), expected, rtol=1e-8)
 
     def test_saturates_to_drift_of_mean(self, cp_centered):
         # Once every jump is retained the series centering is exactly the

@@ -1,5 +1,6 @@
 """Exponential integral, inverse table and quadrature helpers."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levykle.models import from_density
 from levykle.special import (
     MonotoneInverseTable,
     QuadratureError,
@@ -145,6 +147,81 @@ class TestInverseTable:
 
     def test_default_table_is_cached(self):
         assert default_e1_inverse() is default_e1_inverse()
+
+
+def _density_table(density):
+    """The log-log inverse table that ``from_density`` binds into ``g_inv``."""
+    g_inv = from_density("indexed", density).tail_pos.g_inv
+    return inspect.signature(g_inv).parameters["_t"].default
+
+
+@pytest.fixture(scope="module")
+def indexed_tables(e1_table):
+    # Two E1 tables (u = 1 + log y below 1) and three from_density tables
+    # (u = y); the finite-activity 2 exp(-x) has near-equal log g just below
+    # log 2, so its cell count is capped at 4n.
+    return {
+        "e1_default": e1_table,
+        "e1_small": build_e1_inverse(1e-3, 1.0, 5000),
+        "exp/x": _density_table(lambda x: math.exp(-x) / x),
+        "exp*x^-1.5": _density_table(lambda x: math.exp(-x) * x**-1.5),
+        "2exp": _density_table(lambda x: 2.0 * math.exp(-x)),
+    }
+
+
+def _lagrange(bp, vals, y):
+    """The 4-point Lagrange interpolation the Horner coefficients replace,
+    with the largest stencil value of each point (its rounding scale)."""
+    m = 4
+    idx = np.searchsorted(bp, y, side="right") - 1
+    lo = np.clip(idx - (m - 1) // 2, 0, bp.size - m)
+    nodes = bp[lo[:, None] + np.arange(m)]
+    fvals = vals[lo[:, None] + np.arange(m)]
+    center = nodes[:, :1]
+    scale = nodes[:, -1:] - center
+    t = (y[:, None] - center) / scale
+    tn = (nodes - center) / scale
+    out = np.zeros_like(y)
+    for i in range(m):
+        w = np.ones_like(y)
+        for j in range(m):
+            if j != i:
+                w *= (t[:, 0] - tn[:, j]) / (tn[:, i] - tn[:, j])
+        out += w * fvals[:, i]
+    return out, np.abs(fvals).max(axis=1)
+
+
+def _check_index(table, y):
+    bp = table.breakpoints
+    expected = np.clip(np.searchsorted(bp, y, side="right") - 1, 0, bp.size - 2)
+    assert np.array_equal(table._locate(y), expected)
+    inside = (y >= table.domain_lo) & (y <= table.domain_hi)
+    ref, scale = _lagrange(bp, table.values, y[inside])
+    assert np.all(np.abs(table._interpolate(y[inside]) - ref) <= 1e-14 * scale)
+
+
+class TestInverseTableIndex:
+    @pytest.mark.parametrize(
+        "name", ["e1_default", "e1_small", "exp/x", "exp*x^-1.5", "2exp"])
+    def test_locates_searchsorted_interval_at_breakpoints(self, indexed_tables, name):
+        table = indexed_tables[name]
+        bp = table.breakpoints
+        one = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+        y = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf), one])
+        _check_index(table, y)
+        # Never more compare passes than a binary search over the table.
+        assert table._passes <= math.ceil(math.log2(bp.size))
+
+    def test_e1_table_needs_one_pass(self, e1_table):
+        assert e1_table._passes == 1
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_locates_searchsorted_interval_anywhere(self, indexed_tables, data):
+        table = indexed_tables[data.draw(st.sampled_from(sorted(indexed_tables)))]
+        ys = data.draw(st.lists(st.floats(min_value=table.domain_lo, max_value=table.domain_hi),
+                                min_size=1, max_size=8))
+        _check_index(table, np.array(ys))
 
 
 class TestQuad:
