@@ -161,12 +161,16 @@ def _float_csv(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+def _csv_column(values: np.ndarray) -> list[str]:
+    """``_float_csv`` of every element of a float64 array, formatted in one pass."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
+    """One row per element of the ``_csv_column`` formatted columns."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(rows):
-            fh.write(",".join(_float_csv(col[i]) for col in columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _chunk_ranges(n: int, chunk: int = _CHUNK):
@@ -212,6 +216,7 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
     basis_max = KleBasis(T=cfg.T, d=d_max, alpha=model.alpha)
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
+    grid_text = _csv_column(grid)
     emats = {d: bases[d].eigenfunction_matrix(grid) for d in cfg.d_list}
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +231,7 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
             for d in cfg.d_list:
                 approx = _reconstruct(bases[d], z[:d], grid, cfg.mode, model.mean_rate, emats[d])
                 path = out / f"{cfg.prefix}_path_d{d}_p{i}.csv"
-                _write_csv(path, "t,value", [grid, approx.values])
+                _write_csv(path, "t,value", [grid_text, _csv_column(approx.values)])
                 written.append(path)
     print(f"wrote {len(written)} path files under {out}")
     return 0
@@ -298,7 +303,7 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
         stderr = np.sqrt(var / n)
         path = out_dir / f"{cfg.prefix}_mcmean_d{d}.csv"
         _write_csv(path, "t,mc_mean,expected,abs_err,stderr",
-                   [grid, mc_mean, expected, np.abs(mc_mean - expected), stderr])
+                   [_csv_column(c) for c in (grid, mc_mean, expected, np.abs(mc_mean - expected), stderr)])
         print(f"wrote {path}")
     return 0
 

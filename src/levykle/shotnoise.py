@@ -23,15 +23,18 @@ batch rows, single samples and grown samples agree bitwise by construction.
 
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
 flattened jumps with per-sample row offsets; a sample's rows are cut into
-pieces of at most 512. Columns k <= 64 take ``cos`` directly and are reduced
-per piece with ``np.add.reduceat``. Each later block of 64 columns rotates
-from an anchor angle through one table of pi m u, m < 64, and BLAS sums it:
-in tiles of 8 blocks (512 columns, zero-padded past d), one matrix product
-of a fixed shape per piece and tile, with the piece zero-padded to a row
-bucket that its own row count sets (the next multiple of 16). All sizes are
-module constants, so a column's value depends on k and the sample's jumps
-alone, never on d, the chunk or the number of BLAS threads (see
-``shot_sum`` for why, and for the measured error).
+pieces of at most 512. The cosines are harmonics of one angle pi u per row,
+so they come from rotation ladders (``_rotations``: a few trig calls per row,
+then products and sums) rather than one ``cos`` call per row and column.
+Columns k <= 64 are x cos((k - 1/2) pi u), a ladder from pi u / 2 in steps
+of pi u, reduced per piece with ``np.add.reduceat``. Each later block of 64
+columns rotates from an anchor angle through one table of pi m u, m < 64,
+and BLAS sums it: in tiles of 8 blocks (512 columns, zero-padded past d),
+one matrix product of a fixed shape per piece and tile, with the piece
+zero-padded to a row bucket that its own row count sets (the next multiple
+of 16). All sizes are module constants, so a column's value depends on k and
+the sample's jumps alone, never on d, the chunk or the number of BLAS
+threads (see ``shot_sum`` for why, and for the measured error).
 
 Reproducibility: one routine, ``arrival_streams``, draws every arrival
 stream, the samplers' and the validation suites' alike, a chunk of sample
@@ -88,15 +91,16 @@ PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
 _MAX_TERMS = 1_000_000
-# shot_sum: columns per anchored block (and direct-cos columns), rows per
-# piece, anchored blocks per GEMM tile, the row quantum of a piece's padded
-# size and padded rows per stacked product; fixed, so that no column depends
-# on d or the chunk.
+# shot_sum: columns per anchored block (and head columns), rows per piece,
+# anchored blocks per GEMM tile, the row quantum of a piece's padded size,
+# padded rows per stacked product and rows per group of whole pieces in the
+# head; fixed, so that no column depends on d or the chunk.
 _BLOCK = 64
 _ROW_BUDGET = 512
 _TILE = 8
 _ROW_QUANTUM = 16
 _BATCH_ROWS = 1024
+_HEAD_ROWS = 4096
 # numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFF_FFFF
@@ -127,6 +131,11 @@ class TruncationCapError(RuntimeError):
         self.gamma_reached = gamma_reached
         self.gamma_stop = gamma_stop
         self.max_terms = max_terms
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so that it crosses a pickle (a process
+        # pool's result queue) as itself rather than as a TypeError.
+        return type(self), (self.n_drawn, self.gamma_reached, self.gamma_stop, self.max_terms)
 
 
 @dataclass(frozen=True)
@@ -415,14 +424,54 @@ def _halves(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.concatenate((first, second), axis=-1)
 
 
+def _rotations(start: np.ndarray | None, step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of start + m step for m < n, each an (n, *step.shape) array.
+
+    A rotation ladder: four trig calls per element (two when ``start`` is
+    None, meaning 0), then rotations in real arithmetic, c' = c cos(w) -
+    s sin(w), s' = c sin(w) + s cos(w). The rungs are built by doubling:
+    rungs b .. 2b - 1 are rungs 0 .. b - 1 rotated by w = b step, whose
+    cos and sin come from squaring those of the previous w. So a ladder of n
+    rungs takes log2(n) doublings of about 11 numpy calls each on whole
+    blocks of rungs, not 4 calls per rung, which matters when two threads
+    share the interpreter lock: each call is a point where it changes hands
+    (a rung-by-rung ladder ran ``mc_mean_highd`` 17% slower). Rung m
+    depends on m and not on n, which keeps columns prefix stable. Every
+    operation is a correctly rounded elementwise product or sum, so an
+    element's bits do not depend on where it sits in the array or on the
+    array's length (numpy's in-place complex multiply rounds a one-element
+    array differently). The error grows about linearly along the ladder, a
+    few eps per rung.
+    """
+    c, s = np.empty((n, *np.shape(step))), np.empty((n, *np.shape(step)))
+    if start is None:
+        c[0], s[0] = 1.0, 0.0
+    else:
+        c[0], s[0] = np.cos(start), np.sin(start)
+    wc, ws = np.cos(step), np.sin(step)
+    b = 1
+    while b < n:
+        k = min(b, n - b)
+        np.multiply(c[:k], wc, out=c[b:b + k])
+        c[b:b + k] -= s[:k] * ws
+        np.multiply(c[:k], ws, out=s[b:b + k])
+        s[b:b + k] += s[:k] * wc
+        b *= 2
+        if b < n:
+            wc, ws = wc * wc - ws * ws, 2.0 * (wc * ws)
+    return c, s
+
+
 def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
                sample: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
     """Add the rotated columns of every piece into ``acc`` (its columns past the head).
 
     Block b of ``_BLOCK`` columns is anchored at theta_b = pi (_BLOCK (b + 1)
     + 1/2) u; the anchors of tile t (blocks b = _TILE t + e) rotate the
-    ``_TILE`` fine angles of e by the coarse angle pi _TILE _BLOCK t u. A
-    piece of K rows is zero-padded to kb rows, K rounded up to a multiple of
+    ``_TILE`` fine angles of e by the coarse angle pi _TILE _BLOCK t u; both
+    are reduced exactly (``_anchor_angles``). The phases phi_m = pi m u are
+    a rotation ladder (``_rotations``) from 0 in steps of pi u. A piece of K
+    rows is zero-padded to kb rows, K rounded up to a multiple of
     ``_ROW_QUANTUM``, and each tile is then one product of a fixed shape:
     [x cos(theta) | -x sin(theta)] (_TILE x 2 kb) times [cos(phi); sin(phi)]
     (2 kb x _BLOCK), phi_m = pi m u. Pieces of one kb and one rank in their
@@ -437,7 +486,6 @@ def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
     n_tiles = -(-acc.shape[1] // (_TILE * _BLOCK))
     fine = _BLOCK * (1.0 + np.arange(_TILE)) + 0.5
     coarse = _TILE * _BLOCK * np.arange(n_tiles, dtype=float)
-    n = math.isqrt(_BLOCK)
     kbs = -(-(end - start) // _ROW_QUANTUM) * _ROW_QUANTUM
     rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
     key = rank * (_ROW_BUDGET + 1) + kbs
@@ -449,22 +497,15 @@ def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
         j = min(i + _BATCH_ROWS // kb, int(np.searchsorted(key, key[i], side="right")))
         sel = order[i:j]
         xp, up = _padded_rows(x, u, start[sel], end[sel], kb)
-        # [cos(phi); sin(phi)], phi_m = pi m u with m = n a + b: 4 n trig
-        # calls per row instead of 2 _BLOCK, and cos(a + b), sin(a + b) in
-        # one pass as [cos a | sin a] [cos b | cos b] + [-sin a | cos a] [sin b | sin b].
-        step = np.pi * np.multiply.outer(np.arange(n), up)
-        wide = np.pi * np.multiply.outer(n * np.arange(n), up)
-        ca, sa, cb, sb = np.cos(wide), np.sin(wide), np.cos(step), np.sin(step)
-        table = (_halves(ca, sa)[:, None] * _halves(cb, cb)[None]
-                 + _halves(-sa, ca)[:, None] * _halves(sb, sb)[None])
+        # [cos(phi); sin(phi)]: two trig calls per row.
+        table = _halves(*_rotations(None, np.pi * up, _BLOCK))
         # [x cos(theta) | -x sin(theta)] for every anchor of every tile, with
         # theta = coarse + fine and x folded into the fine factors.
         tc, tf = _anchor_angles(up, coarse), _anchor_angles(up, fine)
         cc, sc, xcf, xsf = np.cos(tc), np.sin(tc), xp * np.cos(tf), xp * np.sin(tf)
         lhs = (_halves(cc, -sc)[:, None] * _halves(xcf, xcf)[None]
                + _halves(-sc, -cc)[:, None] * _halves(xsf, xsf)[None])
-        prod = np.matmul(lhs.transpose(2, 0, 1, 3),
-                         table.reshape(_BLOCK, j - i, 2 * kb).transpose(1, 2, 0)[:, None])
+        prod = np.matmul(lhs.transpose(2, 0, 1, 3), table.transpose(1, 2, 0)[:, None])
         acc[sample[sel]] += prod.reshape(j - i, -1)[:, :acc.shape[1]] * scale
         i = j
 
@@ -481,11 +522,13 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     returned. A sample with no rows adds nothing.
 
     A sample's rows are cut into pieces of at most ``_ROW_BUDGET`` rows, only
-    past that budget and where its own rows say. Columns k <= ``_BLOCK``
-    take ``cos`` directly, in groups of whole pieces of at most
-    ``_ROW_BUDGET`` rows, each piece reduced with ``np.add.reduceat`` along
-    its rows (numpy adds the first row to a pairwise sum of the rest). Each
-    later block of ``_BLOCK`` columns, starting at index k_half = c + 1/2,
+    past that budget and where its own rows say. Columns k <= ``_BLOCK`` are
+    x cos((k - 1/2) pi u), a rotation ladder (``_rotations``, four trig calls
+    per row) from pi u / 2 in steps of pi u, in groups of whole pieces of at
+    most ``_HEAD_ROWS`` rows; each piece is reduced with ``np.add.reduceat``
+    along its rows (numpy adds the first row to a pairwise sum of the rest)
+    and ``np.add.at`` adds the pieces of a sample in row order. Each later
+    block of ``_BLOCK`` columns, starting at index k_half = c + 1/2,
     rotates from its anchor angle theta = pi (c + 1/2) u:
     x cos(theta + phi_m) = x cos(theta) cos(phi_m) - x sin(theta) sin(phi_m),
     with phi_m = pi m u for m < ``_BLOCK``. BLAS sums these columns in tiles
@@ -500,12 +543,13 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     shapes OpenBLAS also gives them under one and two threads (tested),
     where one (8 x 3000) @ (3000 x 64) product does not.
 
-    Anchor angles are reduced mod 2 pi without rounding (``_anchor_angles``).
-    Against np.cos of exact angles every column is within 3.1e-14 of
-    sum |x_i| for one jump, 5.1e-15 for 45 and 1.3e-15 for 450 (largest of
-    300, 60 and 12 random draws at d = 3000, as for the elementwise kernel
-    this replaced); np.cos of the float64 product pi (k - 1/2) u is off by
-    up to 1.9e-12 there.
+    Anchor angles are reduced mod 2 pi without rounding (``_anchor_angles``);
+    a ladder adds a few eps per rung. Against np.cos of exact angles every
+    column is within 2.2e-14 of sum |x_i| for one jump, 5.0e-15 for 45 and
+    1.4e-15 for 450 (largest of 300, 60 and 12 random draws at d = 3000;
+    3.5e-14, 5.3e-15 and 1.7e-15 for the same draws with one ``cos`` call
+    per head column and phase); np.cos of the float64 product
+    pi (k - 1/2) u is off by up to 1.9e-12 there.
     """
     x = np.asarray(jump_sizes, dtype=float)
     u = np.asarray(uniforms, dtype=float)
@@ -519,13 +563,15 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     sample, start, end = _pieces(bounds)
     i = 0
     while i < len(start):
-        j = int(np.searchsorted(end, start[i] + _ROW_BUDGET, side="right"))
+        j = int(np.searchsorted(end, start[i] + _HEAD_ROWS, side="right"))
         r0, r1 = start[i], end[j - 1]
-        # Term matrices hold one column k per row, so that reduceat runs
-        # along contiguous rows, where it is faster; cos is taken with the
-        # columns k running fastest, where it is about 1.5x faster too.
-        terms = (np.cos(np.pi * np.outer(u[r0:r1], k_half[:head])) * x[r0:r1, None]).T.copy()
-        acc[sample[i:j], :head] += np.add.reduceat(terms, start[i:j] - r0, axis=1).T * scale[:head]
+        # Column k is x cos((k - 1/2) pi u), a rotation ladder from pi u / 2
+        # in steps of pi u; its term matrix holds one column k per row, so
+        # that reduceat runs along contiguous rows. A group may hold several
+        # pieces of one sample, which add.at adds in row order.
+        step = np.pi * u[r0:r1]
+        terms = _rotations(0.5 * step, step, head)[0] * x[r0:r1]
+        np.add.at(acc[:, :head], sample[i:j], np.add.reduceat(terms, start[i:j] - r0, axis=1).T * scale[:head])
         i = j
     if d > _BLOCK:
         _add_tiles(acc[:, _BLOCK:], scale[_BLOCK:], x, u, sample, start, end)

@@ -98,6 +98,22 @@ class TestVarianceCapture:
         assert main(["variance-capture", "0"]) == 2
 
 
+class TestCsv:
+    def test_rows_are_shortest_round_trip_reprs(self, tmp_path):
+        # Whole-column formatting writes what formatting one element at a
+        # time wrote: repr of each double, which parses back to it exactly.
+        rng = np.random.default_rng(3)
+        a = np.concatenate(([0.0, -0.0, 1e-300, -5e-324, 1e300, 0.1, 1.0 / 3.0], rng.standard_normal(50)))
+        b = rng.standard_normal(len(a)) * 10.0 ** rng.integers(-20, 20, len(a))
+        path = tmp_path / "c.csv"
+        cli._write_csv(path, "t,a,b", [cli._csv_column(a), cli._csv_column(a), cli._csv_column(b)])
+        rows = [f"{cli._float_csv(x)},{cli._float_csv(x)},{cli._float_csv(y)}" for x, y in zip(a, b)]
+        assert read(path) == "t,a,b\n" + "".join(r + "\n" for r in rows)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 1], a) and np.array_equal(back[:, 2], b)
+        assert np.array_equal(np.signbit(back[:, 1]), np.signbit(a))
+
+
 class TestSimulatePaths:
     def test_files_and_nested_dimension_consistency(self, tmp_path):
         base = ["--model", "variance_gamma", "--seed", "9", "--n-paths", "2",

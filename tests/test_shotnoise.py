@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -196,6 +197,16 @@ class TestTruncation:
         assert (err.value.n_drawn, err.value.gamma_stop, err.value.max_terms) == (106, 99.5, 100)
         assert sample_coeffs(cp, basis, ShotConfig(seed=2, max_terms=100)).n_terms_pos == 100
 
+    @pytest.mark.parametrize("args", [(0, 0.0, 5e6, 10**6), (106, 99.25, 99.5, 100), (12, 3.5, 7.0, None)])
+    def test_cap_error_survives_pickling(self, args):
+        # A cap error raised in a process-pool worker reaches the caller
+        # through pickle, and must arrive as itself.
+        err = TruncationCapError(*args)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TruncationCapError
+        assert str(back) == str(err)
+        assert (back.n_drawn, back.gamma_reached, back.gamma_stop, back.max_terms) == args
+
     def test_raising_cutoff_leaves_coefficients_unchanged(self):
         # Extra arrivals beyond the default cutoff invert to jumps below the
         # table floor and are clamped to zero size.
@@ -270,14 +281,39 @@ class TestShotSum:
 
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 129, 3000])
     def test_matches_direct_cos_sum(self, d):
-        # Oracle: a plain np.cos sum. The anchored rotation stays within
-        # 1e-13 of sum |x_i| in every column (about 2e-15 measured).
+        # Oracle: a plain np.cos sum. The rotation ladders stay within 1e-13
+        # of sum |x_i| in every column (about 2e-15 measured), also where
+        # u sits at the ends of [0, 1], alone and together.
         basis = KleBasis(T=1.5, d=d, alpha=1.0)
         rng = np.random.default_rng(d)
         for n in (0, 1, 450):
             x = rng.exponential(size=n) * rng.choice([-1.0, 1.0], size=n)
             u = rng.random(n)
             assert self._relative_error(basis, x, u, shot_sum(basis, x, u)) <= 1e-13
+        ends = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+        x = np.array([1.5, -0.25, 2.0, -3.0])
+        for xi, ui in zip(x[:, None], ends[:, None]):
+            assert self._relative_error(basis, xi, ui, shot_sum(basis, xi, ui)) <= 1e-13
+        assert self._relative_error(basis, x, ends, shot_sum(basis, x, ends)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [25, 64, 65, 3000])
+    def test_row_bits_independent_of_position_in_chunk(self, d):
+        # numpy's loops may treat an array's SIMD body, its tail and a short
+        # array by different code; a sample's bits must not depend on which
+        # of them its rows land in. Its rows start at each offset 0-15 of
+        # the flattened chunk, between samples of random other rows, and are
+        # compared with the sample summed alone, short arrays included.
+        basis = KleBasis(T=1.0, d=d, alpha=1.0)
+        rng = np.random.default_rng(d + 1)
+        for n in (1, 3, 45, 700):
+            x, u = rng.exponential(size=n) * rng.choice([-1.0, 1.0], size=n), rng.random(n)
+            alone = shot_sum(basis, x, u)
+            for lead in range(16):
+                counts = np.array([lead, n, int(rng.integers(1, 40)), int(rng.integers(0, 600))])
+                offsets = np.concatenate(([0], np.cumsum(counts)))
+                xs, us = rng.exponential(size=offsets[-1]), rng.random(offsets[-1])
+                xs[lead:lead + n], us[lead:lead + n] = x, u
+                assert np.array_equal(shot_sum(basis, xs, us, offsets)[1], alone)
 
     def test_chunk_rows_match_single_samples(self):
         # One call per chunk over flattened rows: samples with no rows give
