@@ -2,10 +2,12 @@
 
 The package splits into small layers: ``special`` (exponential integral and
 its tabulated inverse), ``models`` (h0 drifts, tail integrals and the stock
-processes), ``basis`` (the closed-form sine eigenbasis and path
-reconstruction), ``shotnoise`` (series samplers for the coefficient vector),
-``oracles`` (independent references: quadrature exponents, the batched
-direct series, the series centering and brute-force integration),
+processes), ``harmonics`` (exactly reduced anchor angles and rotation
+ladders, shared by both directions of the expansion), ``basis`` (the
+closed-form sine eigenbasis and path reconstruction), ``shotnoise``
+(series samplers for the coefficient vector), ``oracles`` (independent
+references: quadrature exponents, the batched direct series, the series
+centering and brute-force integration),
 ``validation`` (statistical suites against them) and ``cli``.
 """
 

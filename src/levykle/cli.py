@@ -4,8 +4,10 @@ Subcommands: ``simulate-paths``, ``mc-mean``, ``validate``,
 ``variance-capture``, ``e1-table``. Experiments are described by a JSON
 config document; individual flags override fields. All outputs are
 deterministic for a fixed config and seed, byte-identical regardless of the
-worker count: samples are generated on per-index derived streams and
-aggregated in fixed chunk order with compensated summation.
+worker count and the BLAS thread count: samples are generated on per-index
+derived streams, paths are reconstructed by products of a fixed shape
+(``basis.reconstruct``) and aggregated in fixed chunk order with compensated
+summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
 configuration error (a negative seed among them), 3 when a series needs
@@ -28,12 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-# ``reconstruct`` and ``sample_coeffs`` stay importable from here: the
-# benchmark's tracer wraps ``cli.reconstruct`` and ``cli.sample_coeffs``,
-# although the commands now go through ``_reconstruct`` and
-# ``sample_coeffs_batch``.
-from .basis import KleBasis, _reconstruct, reconstruct, variance_capture  # noqa: F401
+from .basis import KleBasis, reconstruct, variance_capture
 from .models import SplitModel, model_from_config
+# ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
+# ``cli.sample_coeffs``, although the commands go through
+# ``sample_coeffs_batch``.
 from .shotnoise import ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
 from .special import build_e1_inverse, default_e1_inverse, exp_integral_e1
 from .validation import run_validation
@@ -167,10 +168,10 @@ def _csv_column(values: np.ndarray) -> list[str]:
 
 
 def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
-    """One row per element of the ``_csv_column`` formatted columns."""
+    """One row per element of the ``_csv_column`` formatted columns, in one write."""
+    rows = map(",".join, zip(*columns))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write(header + "\n" + "".join(row + "\n" for row in rows))
 
 
 def _chunk_ranges(n: int, chunk: int = _CHUNK):
@@ -204,34 +205,34 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
     Each path is sampled once at the largest requested dimension; smaller
     dimensions reuse the leading coefficients, which the samplers guarantee
     to be bitwise identical to a fresh lower-dimensional run with the same
-    seed. The eigenfunction matrix is built once per dimension and shared by
-    all paths. Paths are sampled a chunk at a time with
-    ``sample_coeffs_batch`` on the worker threads, and the main thread
-    writes a chunk's files once the chunk is sampled, so at most
-    ``workers + 1`` chunks of coefficients are held at once.
+    seed. One eigenfunction matrix, built at the largest dimension, serves
+    every dimension and path. The worker threads sample a chunk of paths at
+    a time with ``sample_coeffs_batch`` and reconstruct the whole chunk per
+    dimension in one ``reconstruct`` call; the main thread writes a chunk's
+    files once it is done, so at most ``workers + 1`` chunks are held at once.
     """
     model = cfg.build_model()
     shot = cfg.shot_config()
-    d_max = max(cfg.d_list)
-    basis_max = KleBasis(T=cfg.T, d=d_max, alpha=model.alpha)
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
+    basis_max = bases[max(cfg.d_list)]
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
     grid_text = _csv_column(grid)
-    emats = {d: bases[d].eigenfunction_matrix(grid) for d in cfg.d_list}
+    emat = basis_max.eigenfunction_matrix(grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def chunk_coeffs(bounds):
+    def chunk_paths(bounds):
         lo, hi = bounds
-        return lo, sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)[0]
+        Z = sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)[0]
+        return lo, {d: reconstruct(bases[d], Z[:, :d], grid, cfg.mode, model.mean_rate, emat).values
+                    for d in cfg.d_list}
 
     written = []
-    for lo, Z in _parallel_in_order(chunk_coeffs, _chunk_ranges(cfg.n_paths), cfg.workers):
-        for i, z in enumerate(Z, start=lo):
-            for d in cfg.d_list:
-                approx = _reconstruct(bases[d], z[:d], grid, cfg.mode, model.mean_rate, emats[d])
+    for lo, paths in _parallel_in_order(chunk_paths, _chunk_ranges(cfg.n_paths), cfg.workers):
+        for d, values in paths.items():
+            for i, row in enumerate(values, start=lo):
                 path = out / f"{cfg.prefix}_path_d{d}_p{i}.csv"
-                _write_csv(path, "t,value", [grid_text, _csv_column(approx.values)])
+                _write_csv(path, "t,value", [grid_text, _csv_column(row)])
                 written.append(path)
     print(f"wrote {len(written)} path files under {out}")
     return 0
@@ -263,8 +264,8 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"mc-mean needs at least 2 paths for a standard error, got {cfg.n_paths}")
     model = cfg.build_model()
     shot = cfg.shot_config()
-    d_max = max(cfg.d_list)
-    basis_max = KleBasis(T=cfg.T, d=d_max, alpha=model.alpha)
+    bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
+    basis_max = bases[max(cfg.d_list)]
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
     emat = basis_max.eigenfunction_matrix(grid)
     n = cfg.n_paths
@@ -277,11 +278,7 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
         Z, _, _ = sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)
         out = {}
         for d in cfg.d_list:
-            if cfg.mode == "cesaro":
-                weights = 1.0 - np.arange(d) / d
-                S = (Z[:, :d] * weights) @ emat[:, :d].T
-            else:
-                S = Z[:, :d] @ emat[:, :d].T
+            S = reconstruct(bases[d], Z[:, :d], grid, cfg.mode, 0.0, emat).values
             out[d] = (S.sum(axis=0), (S * S).sum(axis=0))
         return out
 

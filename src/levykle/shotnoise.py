@@ -24,8 +24,9 @@ batch rows, single samples and grown samples agree bitwise by construction.
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
 flattened jumps with per-sample row offsets; a sample's rows are cut into
 pieces of at most 512. The cosines are harmonics of one angle pi u per row,
-so they come from rotation ladders (``_rotations``: a few trig calls per row,
-then products and sums) rather than one ``cos`` call per row and column.
+so they come from rotation ladders (``harmonics._rotations``: a few trig
+calls per row, then products and sums) rather than one ``cos`` call per row
+and column.
 Columns k <= 64 are x cos((k - 1/2) pi u), a ladder from pi u / 2 in steps
 of pi u, reduced per piece with ``np.add.reduceat``. Each later block of 64
 columns rotates from an anchor angle through one table of pi m u, m < 64,
@@ -63,6 +64,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .basis import KleBasis
+from .harmonics import _BLOCK, _anchor_angles, _rotations
 from .models import SplitModel, TailIntegral, center
 
 __all__ = [
@@ -91,11 +93,10 @@ PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
 _MAX_TERMS = 1_000_000
-# shot_sum: columns per anchored block (and head columns), rows per piece,
-# anchored blocks per GEMM tile, the row quantum of a piece's padded size,
-# padded rows per stacked product and rows per group of whole pieces in the
-# head; fixed, so that no column depends on d or the chunk.
-_BLOCK = 64
+# shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
+# tile, the row quantum of a piece's padded size, padded rows per stacked
+# product and rows per group of whole pieces in the head; fixed, so that no
+# column depends on d or the chunk.
 _ROW_BUDGET = 512
 _TILE = 8
 _ROW_QUANTUM = 16
@@ -395,19 +396,6 @@ def _pieces(offsets: np.ndarray):
     return sample, start, np.minimum(start + _ROW_BUDGET, offsets[1:][sample])
 
 
-def _anchor_angles(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """pi k u mod 2 pi, for multiples k of 1/2 below 2^26 and u in [0, 1].
-
-    The result has shape (len(k), *u.shape). u splits into hi (26 fractional
-    bits) plus lo, so that t = k hi is exact and so is t - 2 floor(t / 2);
-    the angles are good to about 1e-15, where the plain product pi k u is
-    off by up to 2e-12 at k = 3000.
-    """
-    hi = np.floor(u * 2.0**26) * 2.0**-26
-    t = np.multiply.outer(k, hi)
-    return np.pi * ((t - 2.0 * np.floor(0.5 * t)) + np.multiply.outer(k, u - hi))
-
-
 def _padded_rows(x, u, start, end, kb: int):
     """The rows of pieces ``start:end`` as (pieces, kb) arrays, zero past each piece's end."""
     n = end - start
@@ -422,44 +410,6 @@ def _padded_rows(x, u, start, end, kb: int):
 def _halves(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """(m, pieces, kb) arrays side by side per piece: (m, pieces, 2 kb)."""
     return np.concatenate((first, second), axis=-1)
-
-
-def _rotations(start: np.ndarray | None, step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of start + m step for m < n, each an (n, *step.shape) array.
-
-    A rotation ladder: four trig calls per element (two when ``start`` is
-    None, meaning 0), then rotations in real arithmetic, c' = c cos(w) -
-    s sin(w), s' = c sin(w) + s cos(w). The rungs are built by doubling:
-    rungs b .. 2b - 1 are rungs 0 .. b - 1 rotated by w = b step, whose
-    cos and sin come from squaring those of the previous w. So a ladder of n
-    rungs takes log2(n) doublings of about 11 numpy calls each on whole
-    blocks of rungs, not 4 calls per rung, which matters when two threads
-    share the interpreter lock: each call is a point where it changes hands
-    (a rung-by-rung ladder ran ``mc_mean_highd`` 17% slower). Rung m
-    depends on m and not on n, which keeps columns prefix stable. Every
-    operation is a correctly rounded elementwise product or sum, so an
-    element's bits do not depend on where it sits in the array or on the
-    array's length (numpy's in-place complex multiply rounds a one-element
-    array differently). The error grows about linearly along the ladder, a
-    few eps per rung.
-    """
-    c, s = np.empty((n, *np.shape(step))), np.empty((n, *np.shape(step)))
-    if start is None:
-        c[0], s[0] = 1.0, 0.0
-    else:
-        c[0], s[0] = np.cos(start), np.sin(start)
-    wc, ws = np.cos(step), np.sin(step)
-    b = 1
-    while b < n:
-        k = min(b, n - b)
-        np.multiply(c[:k], wc, out=c[b:b + k])
-        c[b:b + k] -= s[:k] * ws
-        np.multiply(c[:k], ws, out=s[b:b + k])
-        s[b:b + k] += s[:k] * wc
-        b *= 2
-        if b < n:
-            wc, ws = wc * wc - ws * ws, 2.0 * (wc * ws)
-    return c, s
 
 
 def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,

@@ -68,6 +68,29 @@ class TestEigenpairs:
                 val = quad(lambda t: _e(b, j, t) * _e(b, k, t), 0.0, 2.0)
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
 
+    def test_matrix_matches_exactly_reduced_angles(self):
+        # Oracle: np.sin of angles pi (k - 1/2) u reduced mod 2 pi in integer
+        # arithmetic (u = N 2^-53, so (2k - 1) N mod 2^55 is exact in
+        # wrapping uint64); the float64 product alone is off by up to 2e-12
+        # at k = 3000. The angle sums stay within 1e-13 (about 2.5e-14
+        # measured), also at the ends of [0, T].
+        T, d = 2.0, 3000
+        u = np.concatenate(([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0],
+                            np.random.default_rng(3).random(1995)))
+        n_u = (u * 2.0**53).astype(np.uint64)
+        odd = (2 * np.arange(1, d + 1) - 1).astype(np.uint64)
+        angles = np.pi * ((np.outer(n_u, odd) & np.uint64(2**55 - 1)) * 2.0**-54)
+        emat = KleBasis(T=T, d=d, alpha=1.0).eigenfunction_matrix(T * u)
+        assert emat.shape == (2000, d)
+        assert np.max(np.abs(emat / math.sqrt(2.0 / T) - np.sin(angles))) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 513])
+    def test_matrix_is_prefix_of_wider_matrix(self, d):
+        # Column k depends on k and t alone, not on how many columns are built.
+        grid = np.linspace(0.0, 1.5, 301)
+        wide = KleBasis(T=1.5, d=3000, alpha=1.0).eigenfunction_matrix(grid)
+        assert np.array_equal(KleBasis(T=1.5, d=d, alpha=1.0).eigenfunction_matrix(grid), wide[:, :d])
+
     def test_time_bounds_enforced(self, unit_basis):
         for t in (1.5, -0.1):
             with pytest.raises(ValueError):
@@ -160,6 +183,50 @@ class TestReconstruct:
         grid = np.linspace(0.0, 2.0, 9)
         approx = reconstruct(b, z, grid, mean_rate=0.5)
         assert np.allclose(approx.values, 0.5 * grid, rtol=1e-14)
+
+    def test_batch_rows_bitwise_equal_across_batches(self):
+        # Every product has inner dimension 64 and the blocks are added in
+        # order, so a row of a batch of two or more does not depend on the
+        # other rows, nor on a prebuilt matrix being wider than d. A batch of
+        # one takes BLAS's matrix-vector route: close, not bitwise.
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 1.0, 300)
+        wide = KleBasis(T=1.0, d=3000, alpha=1.0)
+        emat = wide.eigenfunction_matrix(grid)
+        Z = rng.standard_normal((24, 3000)) / np.arange(1, 3001)
+        for d in (25, 65, 3000):
+            b = KleBasis(T=1.0, d=d, alpha=1.0)
+            batch = reconstruct(b, Z[:, :d], grid).values
+            assert batch.shape == (24, len(grid))
+            assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=emat).values, batch)
+            for lo in (0, 5, 22):
+                assert np.array_equal(reconstruct(b, Z[lo:lo + 2, :d], grid).values, batch[lo:lo + 2])
+            for i in (0, 7):
+                single = reconstruct(b, Z[i, :d], grid).values
+                assert single.shape == grid.shape
+                assert np.max(np.abs(single - batch[i])) <= 1e-14 * np.sum(np.abs(Z[i, :d]))
+
+    def test_batch_cesaro_and_mean_rate(self):
+        b = KleBasis(T=2.0, d=130, alpha=1.0)
+        Z = np.random.default_rng(12).standard_normal((5, 130))
+        grid = np.linspace(0.0, 2.0, 41)
+        emat = b.eigenfunction_matrix(grid)
+        weights = 1.0 - np.arange(130) / 130
+        for mode, w in (("partial", 1.0), ("cesaro", weights)):
+            approx = reconstruct(b, Z, grid, mode=mode, mean_rate=0.5)
+            assert approx.mode == mode and approx.d == 130
+            assert np.array_equal(approx.mean_correction, 0.5 * grid)
+            assert np.allclose(approx.values, (Z * w) @ emat.T + 0.5 * grid, rtol=0.0, atol=1e-13)
+
+    def test_bad_coefficient_or_matrix_shape_rejected(self):
+        b = KleBasis(T=1.0, d=3, alpha=1.0)
+        grid = np.linspace(0.0, 1.0, 4)
+        for coeffs in (np.zeros(2), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                reconstruct(b, coeffs, grid)
+        for emat in (np.zeros((4, 2)), np.zeros((5, 3))):
+            with pytest.raises(ValueError):
+                reconstruct(b, np.zeros(3), grid, emat=emat)
 
     def test_grid_outside_horizon_rejected(self):
         b = KleBasis(T=1.0, d=2, alpha=1.0)

@@ -1,7 +1,11 @@
 """Command line interface: config plumbing, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,49 @@ class TestMcMean:
                      "--grid-n", "8", "--output-dir", str(tmp_path),
                      "--prefix", "c"]) == 0
         assert (tmp_path / "c_mcmean_d4.csv").exists()
+
+
+class TestBlasThreads:
+    # A BLAS product whose inner dimension is d, (n x d) @ (d x grid), can
+    # change its last bits between one and two OpenBLAS threads (OpenBLAS
+    # 0.3.31 does at d = 513 and 3000); the reconstruction's products of
+    # inner dimension 64 must not. The subprocess prints one digest per
+    # output file and worker count, and one for a one-row batch, which BLAS
+    # computes by its matrix-vector route.
+    SCRIPT = """
+import hashlib, sys, tempfile
+from pathlib import Path
+import numpy as np
+from levykle.basis import KleBasis, reconstruct
+from levykle.cli import main
+z = np.random.default_rng(4).standard_normal((1, 3000))
+values = reconstruct(KleBasis(T=1.0, d=3000, alpha=1.0), z, np.linspace(0.0, 1.0, 2000)).values
+print("reconstruct", hashlib.sha256(values.tobytes()).hexdigest(), file=sys.stderr)
+with tempfile.TemporaryDirectory() as tmp:
+    for command, n_paths in (("mc-mean", "600"), ("simulate-paths", "3")):
+        for workers in ("1", "2", "3"):
+            out = Path(tmp) / command / workers
+            assert main([command, "--model", "variance_gamma", "--seed", "3", "--n-paths", n_paths,
+                         "--d-list", "65,513,3000", "--output-dir", str(out), "--workers", workers]) == 0
+            for path in sorted(out.iterdir()):
+                print(workers, path.name, hashlib.sha256(path.read_bytes()).hexdigest(), file=sys.stderr)
+"""
+
+    def test_output_bytes_independent_of_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+                                 text=True, timeout=600, check=True)
+            digests.append([line.split() for line in run.stderr.splitlines()])
+        assert digests[0] == digests[1]
+        files = {}
+        for fields in digests[0][1:]:
+            files.setdefault(fields[0], {})[fields[1]] = fields[2]
+        assert len(files["1"]) == 3 + 3 * 3
+        assert files["1"] == files["2"] == files["3"]
 
 
 class TestValidate:
