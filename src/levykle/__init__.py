@@ -11,7 +11,7 @@ centering and brute-force integration),
 ``validation`` (statistical suites against them) and ``cli``.
 """
 
-from .basis import KleBasis, PathApproximation, reconstruct, variance_capture
+from .basis import KleBasis, reconstruct, variance_capture
 from .models import (
     GeneratingTriple,
     LevyModel,
@@ -65,7 +65,6 @@ __all__ = [
     "LevyModel",
     "ModelConditionError",
     "MonotoneInverseTable",
-    "PathApproximation",
     "QuadratureError",
     "ShotConfig",
     "SplitModel",

@@ -36,7 +36,6 @@ from .harmonics import _BLOCK, _anchor_angles, _rotations
 
 __all__ = [
     "KleBasis",
-    "PathApproximation",
     "variance_capture",
     "reconstruct",
 ]
@@ -163,36 +162,16 @@ def variance_capture(d: int) -> float:
     return float(2.0 / math.pi**2 * np.sum(k_half**-2.0))
 
 
-@dataclass(frozen=True, eq=False)
-class PathApproximation:
-    """A reconstructed path, or a batch of paths one per row, on a time grid.
-
-    ``mode`` records whether ``values`` is the plain partial sum or its
-    Cesaro average; ``mean_correction`` holds the deterministic mean-rate
-    term that was added back per grid point.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    mode: str
-    d: int
-    mean_correction: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path values must be finite")
-
-
 def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate: float = 0.0,
-                emat: np.ndarray | None = None) -> PathApproximation:
-    """Rebuild a path, or a batch of paths, from coefficients on a time grid.
+                emat: np.ndarray | None = None) -> np.ndarray:
+    """The values of a path, or of a batch of paths, on a time grid.
 
     ``partial`` mode evaluates sum_{k<=d} Z_k e_k(t) + mean_rate * t. ``cesaro``
     mode evaluates the running average of the partial sums, computed in O(d)
     per grid point through the equivalent reweighting (1 - (k-1)/d) of Z_k.
-    ``coeffs`` may be a coefficient-sample object (its ``z`` is used), a
-    vector of length ``basis.d`` or an (n, basis.d) batch, one path per row;
-    ``values`` then has shape (len(grid),) or (n, len(grid)). ``emat`` is
+    ``coeffs`` is a vector of length ``basis.d`` or an (n, basis.d) batch, one
+    path per row; the values have shape (len(grid),) or (n, len(grid)), and
+    non-finite values raise ``ValueError``. ``emat`` is
     ``eigenfunction_matrix(grid)`` of a basis on the same T with at least d
     columns, so that many paths and dimensions on one grid share one matrix;
     it is built when not given.
@@ -208,7 +187,7 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     matrix-vector route and may differ from such a row in the last bits
     (5e-16 of sum |z_k| measured).
     """
-    z = np.asarray(getattr(coeffs, "z", coeffs), dtype=float)
+    z = np.asarray(coeffs, dtype=float)
     d = basis.d
     if z.ndim not in (1, 2) or z.shape[-1] != d:
         raise ValueError(f"coefficients have shape {z.shape}, expected ({d},) or (n, {d})")
@@ -236,7 +215,7 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
         if len(e_rows) < _BLOCK or not e_rows.flags.c_contiguous:
             e_rows = np.concatenate((e_rows, np.zeros((_BLOCK - len(e_rows), len(tt)))))
         values += np.matmul(w_block, e_rows, out=product)
-    correction = float(mean_rate) * tt
-    values += correction
-    return PathApproximation(grid=tt, values=values.reshape(*z.shape[:-1], len(tt)), mode=mode, d=d,
-                             mean_correction=correction)
+    values += float(mean_rate) * tt
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path values must be finite")
+    return values.reshape(*z.shape[:-1], len(tt))

@@ -81,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError(f"grid_n must be at least 2, got {self.grid_n!r}")
         if self.mode not in ("partial", "cesaro"):
             raise ConfigError(f"mode must be 'partial' or 'cesaro', got {self.mode!r}")
-        if self.gamma_cutoff <= 0.0:
+        if not self.gamma_cutoff > 0.0:
             raise ConfigError(f"gamma_cutoff must be positive, got {self.gamma_cutoff!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
@@ -98,6 +98,13 @@ class ExperimentConfig:
         return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer or an integral float; nothing is parsed or truncated."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     """Build the config from the JSON document, then apply flag overrides."""
     cfg = ExperimentConfig()
@@ -112,8 +119,6 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "d_list" in doc:
-            doc["d_list"] = tuple(doc["d_list"])
         cfg = replace(cfg, **doc)
     overrides = {}
     for name in ("T", "n_paths", "grid_n", "seed", "mode", "gamma_cutoff",
@@ -145,11 +150,10 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     try:
         cfg = replace(
             cfg,
-            T=float(cfg.T), n_paths=int(cfg.n_paths), grid_n=int(cfg.grid_n),
-            seed=int(cfg.seed), workers=int(cfg.workers),
-            gamma_cutoff=float(cfg.gamma_cutoff), mode=str(cfg.mode),
+            T=float(cfg.T), gamma_cutoff=float(cfg.gamma_cutoff), mode=str(cfg.mode),
             output_dir=str(cfg.output_dir), prefix=str(cfg.prefix),
-            d_list=tuple(int(d) for d in cfg.d_list),
+            d_list=tuple(_integer("d_list", d) for d in cfg.d_list),
+            **{name: _integer(name, getattr(cfg, name)) for name in ("n_paths", "grid_n", "seed", "workers")},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -157,13 +161,8 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _float_csv(value: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
-
-
 def _csv_column(values: np.ndarray) -> list[str]:
-    """``_float_csv`` of every element of a float64 array, formatted in one pass."""
+    """``repr`` (the shortest round-trip decimal) of every element of a float64 array, in one pass."""
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
@@ -172,10 +171,6 @@ def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
     rows = map(",".join, zip(*columns))
     with open(path, "w") as fh:
         fh.write(header + "\n" + "".join(row + "\n" for row in rows))
-
-
-def _chunk_ranges(n: int, chunk: int = _CHUNK):
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
 def _parallel_in_order(fn, tasks, workers: int):
@@ -199,49 +194,49 @@ def _parallel_in_order(fn, tasks, workers: int):
             yield ahead.popleft().result()
 
 
-def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
-    """Write one ``t,value`` CSV per (dimension, path index).
+def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, mean_rate: float, reduce):
+    """``reduce(lo, {d: paths})`` per chunk of paths lo, lo + 1, ..., in chunk order.
 
-    Each path is sampled once at the largest requested dimension; smaller
-    dimensions reuse the leading coefficients, which the samplers guarantee
-    to be bitwise identical to a fresh lower-dimensional run with the same
-    seed. One eigenfunction matrix, built at the largest dimension, serves
-    every dimension and path. The worker threads sample a chunk of paths at
-    a time with ``sample_coeffs_batch`` and reconstruct the whole chunk per
-    dimension in one ``reconstruct`` call; the main thread writes a chunk's
-    files once it is done, so at most ``workers + 1`` chunks are held at once.
+    ``paths`` holds one path per row, with the ramp mean_rate * t. A chunk is
+    sampled once at the largest d; smaller d reuse the leading coefficients,
+    which the samplers guarantee to be bitwise those of a fresh run at that d.
+    One eigenfunction matrix, built at the largest d, serves every d and
+    chunk. The worker threads sample, reconstruct and reduce; at most
+    ``workers + 1`` reduced chunks are held at once.
     """
-    model = cfg.build_model()
     shot = cfg.shot_config()
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
     basis_max = bases[max(cfg.d_list)]
+    emat = basis_max.eigenfunction_matrix(grid)
+
+    def chunk(lo):
+        Z = sample_coeffs_batch(model, basis_max, shot, min(_CHUNK, cfg.n_paths - lo), start_index=lo)[0]
+        return reduce(lo, {d: reconstruct(bases[d], Z[:, :d], grid, cfg.mode, mean_rate, emat)
+                           for d in cfg.d_list})
+
+    return _parallel_in_order(chunk, range(0, cfg.n_paths, _CHUNK), cfg.workers)
+
+
+def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
+    """Write one ``t,value`` CSV per (dimension, path index), a chunk at a time."""
+    model = cfg.build_model()
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
     grid_text = _csv_column(grid)
-    emat = basis_max.eigenfunction_matrix(grid)
+    chunks = _sampled_paths(cfg, model, grid, model.mean_rate, lambda lo, paths: (lo, paths))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def chunk_paths(bounds):
-        lo, hi = bounds
-        Z = sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)[0]
-        return lo, {d: reconstruct(bases[d], Z[:, :d], grid, cfg.mode, model.mean_rate, emat).values
-                    for d in cfg.d_list}
-
-    written = []
-    for lo, paths in _parallel_in_order(chunk_paths, _chunk_ranges(cfg.n_paths), cfg.workers):
+    for lo, paths in chunks:
         for d, values in paths.items():
             for i, row in enumerate(values, start=lo):
-                path = out / f"{cfg.prefix}_path_d{d}_p{i}.csv"
-                _write_csv(path, "t,value", [grid_text, _csv_column(row)])
-                written.append(path)
-    print(f"wrote {len(written)} path files under {out}")
+                _write_csv(out / f"{cfg.prefix}_path_d{d}_p{i}.csv", "t,value", [grid_text, _csv_column(row)])
+    print(f"wrote {len(cfg.d_list) * cfg.n_paths} path files under {out}")
     return 0
 
 
 class _KahanAccumulator:
     """Compensated vector sum merged in a fixed order."""
 
-    def __init__(self, size: int):
+    def __init__(self, size):
         self.total = np.zeros(size)
         self._comp = np.zeros(size)
 
@@ -263,29 +258,18 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
     if cfg.n_paths < 2:
         raise ConfigError(f"mc-mean needs at least 2 paths for a standard error, got {cfg.n_paths}")
     model = cfg.build_model()
-    shot = cfg.shot_config()
-    bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
-    basis_max = bases[max(cfg.d_list)]
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
-    emat = basis_max.eigenfunction_matrix(grid)
     n = cfg.n_paths
 
-    sums = {d: _KahanAccumulator(cfg.grid_n) for d in cfg.d_list}
-    sqsums = {d: _KahanAccumulator(cfg.grid_n) for d in cfg.d_list}
+    # Per d, the sums over paths of S and of S^2, one row each.
+    sums = {d: _KahanAccumulator((2, cfg.grid_n)) for d in cfg.d_list}
 
-    def chunk_stats(bounds):
-        lo, hi = bounds
-        Z, _, _ = sample_coeffs_batch(model, basis_max, shot, hi - lo, start_index=lo)
-        out = {}
-        for d in cfg.d_list:
-            S = reconstruct(bases[d], Z[:, :d], grid, cfg.mode, 0.0, emat).values
-            out[d] = (S.sum(axis=0), (S * S).sum(axis=0))
-        return out
+    def chunk_stats(lo, paths):
+        return {d: np.stack((S.sum(axis=0), (S * S).sum(axis=0))) for d, S in paths.items()}
 
-    for stats in _parallel_in_order(chunk_stats, _chunk_ranges(n), cfg.workers):
-        for d, (s, s2) in stats.items():
-            sums[d].add(s)
-            sqsums[d].add(s2)
+    for stats in _sampled_paths(cfg, model, grid, 0.0, chunk_stats):
+        for d, chunk_sums in stats.items():
+            sums[d].add(chunk_sums)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,9 +278,10 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
         # The stochastic part averages to zero; the deterministic ramp is
         # added back after aggregation so expected = mean_rate * t holds for
         # every d.
-        mean_part = sums[d].total / n
+        total, sq_total = sums[d].total
+        mean_part = total / n
         mc_mean = mean_part + expected
-        var = np.maximum(sqsums[d].total / n - mean_part**2, 0.0)
+        var = np.maximum(sq_total / n - mean_part**2, 0.0)
         stderr = np.sqrt(var / n)
         path = out_dir / f"{cfg.prefix}_mcmean_d{d}.csv"
         _write_csv(path, "t,mc_mean,expected,abs_err,stderr",
@@ -307,6 +292,8 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
 
 def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
     """Run the validation suites and emit the JSON report."""
+    if cfg.n_paths < 100:
+        raise ConfigError(f"validate needs at least 100 paths, got {cfg.n_paths}")
     model = cfg.build_model()
     report = run_validation(model, T=cfg.T, d=max(cfg.d_list), n_samples=cfg.n_paths,
                             cfg=cfg.shot_config())
@@ -326,7 +313,7 @@ def cmd_variance_capture(d_list) -> int:
     """Print the captured variance fraction for each dimension."""
     print("d,captured_fraction")
     for d in d_list:
-        print(f"{d},{_float_csv(variance_capture(int(d)))}")
+        print(f"{d},{variance_capture(int(d))!r}")
     return 0
 
 
@@ -346,10 +333,7 @@ def cmd_e1_table(args: argparse.Namespace) -> int:
             if dest.suffix == ".npz":
                 np.savez(dest, x=table.values, e1=table.breakpoints)
             else:
-                with open(dest, "w") as fh:
-                    fh.write("x,E1(x)\n")
-                    for x, y in zip(table.values, table.breakpoints):
-                        fh.write(f"{_float_csv(x)},{_float_csv(y)}\n")
+                _write_csv(dest, "x,E1(x)", [_csv_column(table.values), _csv_column(table.breakpoints)])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot dump table to {dest}: {exc}") from exc
         print(f"wrote {len(table.values)} rows to {dest}")

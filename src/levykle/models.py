@@ -175,8 +175,8 @@ def center(model: LevyModel) -> LevyModel:
 
 def make_brownian(sigma2: float) -> LevyModel:
     """Brownian motion with variance rate sigma2: no jumps, psi(z) = sigma2 z^2 / 2."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
 
     def psi(z, _s=float(sigma2)):
         return 0.5 * _s * np.asarray(z) ** 2
@@ -199,8 +199,8 @@ def make_gamma(c: float, rho: float, e1_inverse=None) -> LevyModel:
     m = c / rho, the uncentered exponent is psi(z) = c log(1 - iz/rho), and
     alpha = c / rho^2.
     """
-    if c <= 0.0 or rho <= 0.0:
-        raise ValueError("c and rho must be positive")
+    if not (0.0 < c < math.inf and 0.0 < rho < math.inf):
+        raise ValueError(f"c and rho must be positive and finite, got c={c!r}, rho={rho!r}")
     c, rho = float(c), float(rho)
     table = e1_inverse if e1_inverse is not None else default_e1_inverse()
 
@@ -251,8 +251,8 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
     at zero (finite activity) and inverts in closed form. The jump mean is
     rate / rho and alpha = 2 * rate / rho^2.
     """
-    if rate <= 0.0 or rho <= 0.0:
-        raise ValueError("rate and rho must be positive")
+    if not (0.0 < rate < math.inf and 0.0 < rho < math.inf):
+        raise ValueError(f"rate and rho must be positive and finite, got rate={rate!r}, rho={rho!r}")
     rate, rho = float(rate), float(rho)
 
     def density(x, _r=rate, _p=rho):
@@ -447,8 +447,9 @@ def make_variance_gamma(
     psi(z) = log(1 - iz) + log(1 + iz/2), the mean rate is 1/2, and
     alpha = 1.25.
     """
-    if min(c_pos, rho_pos, c_neg, rho_neg) <= 0.0:
-        raise ValueError("all variance gamma parameters must be positive")
+    if not all(0.0 < v < math.inf for v in (c_pos, rho_pos, c_neg, rho_neg)):
+        raise ValueError("all variance gamma parameters must be positive and finite, got "
+                         f"{(c_pos, rho_pos, c_neg, rho_neg)!r}")
     return SplitModel(
         name=f"variance_gamma({c_pos:g},{rho_pos:g},{c_neg:g},{rho_neg:g})",
         pos=make_gamma(c_pos, rho_pos),

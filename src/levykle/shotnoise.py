@@ -17,7 +17,7 @@ component adds an independent Gaussian vector.
 One construction serves every caller. A plan, built once per (model, basis,
 config), holds each part's substream label, sign, centered tail, stop level
 and drift vector, plus the Gaussian scale; one batched kernel consumes it.
-``sample_coeffs`` is the batch of one plus its shot record, and
+``sample_coeffs`` is the batch of one plus the streams it drew, and
 ``extend_dimension`` adds parts to a row through the kernel's own helper, so
 batch rows, single samples and grown samples agree bitwise by construction.
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -75,7 +75,6 @@ __all__ = [
     "ShotConfig",
     "ArrivalStream",
     "PartRecord",
-    "ShotRecord",
     "CoefficientSample",
     "derive_rng",
     "arrival_streams",
@@ -552,35 +551,36 @@ class PartRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class ShotRecord:
-    """Everything needed to recompute a coefficient vector at any dimension."""
+class CoefficientSample:
+    """One realization of the coefficient vector Z and everything that made it.
 
-    T: float
-    alpha: float
+    ``pos`` and ``neg`` keep each jump part's stream (None for an absent part).
+    """
+
+    z: np.ndarray
     seed: int
     sample_index: int
+    T: float
+    alpha: float
     sigma2: float
     pos: PartRecord | None
     neg: PartRecord | None
 
-
-@dataclass(frozen=True, eq=False)
-class CoefficientSample:
-    """One realization of the coefficient vector Z with its provenance."""
-
-    z: np.ndarray
-    d: int
-    n_terms_pos: int
-    n_terms_neg: int
-    seed: int
-    sample_index: int = 0
-    shot_record: ShotRecord | None = None
-
     def __post_init__(self):
-        if len(self.z) != self.d:
-            raise ValueError("coefficient vector length must equal d")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("coefficients must be finite")
+
+    @property
+    def d(self) -> int:
+        return len(self.z)
+
+    @property
+    def n_terms_pos(self) -> int:
+        return 0 if self.pos is None else len(self.pos.gammas)
+
+    @property
+    def n_terms_neg(self) -> int:
+        return 0 if self.neg is None else len(self.neg.gammas)
 
 
 def _gaussian_scale(basis: KleBasis, sigma2: float) -> np.ndarray | None:
@@ -664,7 +664,6 @@ def sample_coeffs(
     basis: KleBasis,
     cfg: ShotConfig,
     sample_index: int = 0,
-    keep_record: bool = False,
 ) -> CoefficientSample:
     """Sample Z for a composite model: Z_pos - Z_neg + Gaussian part.
 
@@ -672,16 +671,13 @@ def sample_coeffs(
     ``sample_coeffs_batch``. Parts are centered internally; each is sampled
     on its own substream derived from ``(cfg.seed, sample_index, part)``, and
     the Gaussian vector uses the variances that make a jump-free model
-    reproduce E[Z_k^2] = lambda_k.
+    reproduce E[Z_k^2] = lambda_k. The sample keeps its streams for
+    ``extend_dimension``.
     """
-    Z, n_pos, n_neg, kept = _run(model, basis, cfg, 1, sample_index, 1, keep=keep_record)
-    record = ShotRecord(
-        T=basis.T, alpha=basis.alpha, seed=cfg.seed, sample_index=sample_index,
-        sigma2=float(model.gaussian_sigma2), pos=kept[0].get(PART_POS), neg=kept[0].get(PART_NEG),
-    ) if keep_record else None
+    Z, _, _, kept = _run(model, basis, cfg, 1, sample_index, 1, keep=True)
     return CoefficientSample(
-        z=Z[0], d=basis.d, n_terms_pos=int(n_pos[0]), n_terms_neg=int(n_neg[0]),
-        seed=cfg.seed, sample_index=sample_index, shot_record=record,
+        z=Z[0], seed=cfg.seed, sample_index=sample_index, T=basis.T, alpha=basis.alpha,
+        sigma2=float(model.gaussian_sigma2), pos=kept[0].get(PART_POS), neg=kept[0].get(PART_NEG),
     )
 
 
@@ -704,35 +700,25 @@ def sample_coeffs_batch(
     return Z, n_pos, n_neg
 
 
-def extend_dimension(coeffs: CoefficientSample, new_d: int, shot_record: ShotRecord | None = None) -> CoefficientSample:
-    """Recompute the sample at a larger dimension from its retained streams.
+def extend_dimension(coeffs: CoefficientSample, new_d: int) -> CoefficientSample:
+    """Recompute the sample at a larger dimension from its own streams.
 
-    The first ``coeffs.d`` coordinates are reproduced bitwise (verified); the
+    The first ``coeffs.d`` coordinates are reproduced bitwise (verified: a
+    sample whose streams do not give its ``z`` raises ``ValueError``); the
     new coordinates use the same jump realizations and the same Gaussian
     stream, so the result equals a fresh run at ``new_d`` with the same seed.
     """
-    record = shot_record if shot_record is not None else coeffs.shot_record
-    if record is None:
-        raise ValueError("extend_dimension requires the sample's shot_record")
     if new_d < coeffs.d:
         raise ValueError("new_d must be at least the current dimension")
     if new_d == coeffs.d:
         return coeffs
-    wide = KleBasis(T=record.T, d=new_d, alpha=record.alpha)
+    wide = KleBasis(T=coeffs.T, d=new_d, alpha=coeffs.alpha)
     z = np.zeros(new_d)
-    for sign, part in ((1.0, record.pos), (-1.0, record.neg)):
+    for sign, part in ((1.0, coeffs.pos), (-1.0, coeffs.neg)):
         if part is not None:
             _add_part(z, wide, sign, wide.drift_vector(part.drift_a), part.jump_sizes, part.uniforms)
-    _add_gaussian(z[None], _gaussian_scale(wide, record.sigma2), record.seed,
-                  range(record.sample_index, record.sample_index + 1))
+    _add_gaussian(z[None], _gaussian_scale(wide, coeffs.sigma2), coeffs.seed,
+                  range(coeffs.sample_index, coeffs.sample_index + 1))
     if not np.array_equal(z[: coeffs.d], coeffs.z):
-        raise ValueError("shot_record is inconsistent with the sample it claims to extend")
-    return CoefficientSample(
-        z=z,
-        d=new_d,
-        n_terms_pos=coeffs.n_terms_pos,
-        n_terms_neg=coeffs.n_terms_neg,
-        seed=coeffs.seed,
-        sample_index=coeffs.sample_index,
-        shot_record=record,
-    )
+        raise ValueError("the sample's streams are inconsistent with its coefficients")
+    return replace(coeffs, z=z)

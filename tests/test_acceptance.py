@@ -321,8 +321,8 @@ class TestCriterion10:
     def test_cesaro_suppresses_overshoot(self):
         model = center(make_cp_exponential(2.0, 1.0))
         basis = KleBasis(T=1.0, d=500, alpha=model.alpha)
-        s = sample_coeffs(as_split(model), basis, ShotConfig(seed=SEED_GIBBS), keep_record=True)
-        rec = s.shot_record.pos
+        s = sample_coeffs(as_split(model), basis, ShotConfig(seed=SEED_GIBBS))
+        rec = s.pos
         times = basis.T * rec.uniforms
         big = int(np.argmax(rec.jump_sizes))
         jump, t0 = float(rec.jump_sizes[big]), float(times[big])
@@ -330,8 +330,8 @@ class TestCriterion10:
         grid = t0 + np.linspace(1e-4, 0.04, 800)
         m = model.jump_mean
         truth = (rec.jump_sizes[None, :] * (times[None, :] <= grid[:, None])).sum(axis=1) - m * grid
-        partial = reconstruct(basis, s.z, grid, mode="partial").values
-        cesaro = reconstruct(basis, s.z, grid, mode="cesaro").values
+        partial = reconstruct(basis, s.z, grid, mode="partial")
+        cesaro = reconstruct(basis, s.z, grid, mode="cesaro")
         over_p = float(np.max(partial - truth))
         over_c = float(np.max(cesaro - truth))
         ok = over_p > over_c
@@ -348,7 +348,7 @@ class TestCriterion11:
         b25 = KleBasis(T=1.0, d=25, alpha=vg.alpha)
         ok = True
         for idx in range(3):
-            small = sample_coeffs(vg, b5, cfg, sample_index=idx, keep_record=True)
+            small = sample_coeffs(vg, b5, cfg, sample_index=idx)
             grown = extend_dimension(small, 25)
             fresh = sample_coeffs(vg, b25, cfg, sample_index=idx)
             ok = ok and np.array_equal(grown.z, fresh.z) and np.array_equal(grown.z[:5], small.z)

@@ -162,11 +162,10 @@ class TestReconstruct:
         b = KleBasis(T=1.0, d=3, alpha=1.0)
         z = np.array([0.5, -0.2, 0.1])
         grid = np.linspace(0.0, 1.0, 7)
-        approx = reconstruct(b, z, grid)
+        values = reconstruct(b, z, grid)
         manual = b.eigenfunction_matrix(grid) @ z
-        assert np.allclose(approx.values, manual, rtol=1e-14)
-        assert approx.mode == "partial"
-        assert approx.d == 3
+        assert values.shape == grid.shape
+        assert np.allclose(values, manual, rtol=1e-14)
 
     def test_cesaro_reweights_coefficients(self):
         b = KleBasis(T=1.0, d=4, alpha=1.0)
@@ -175,14 +174,14 @@ class TestReconstruct:
         ces = reconstruct(b, z, grid, mode="cesaro")
         # Average of the partial sums S_1..S_d equals weights 1-(k-1)/d.
         partials = np.cumsum(b.eigenfunction_matrix(grid), axis=1)
-        assert np.allclose(ces.values, partials.mean(axis=1), rtol=1e-12)
+        assert np.allclose(ces, partials.mean(axis=1), rtol=1e-12)
 
     def test_mean_rate_adds_deterministic_ramp(self):
         b = KleBasis(T=2.0, d=3, alpha=1.0)
         z = np.zeros(3)
         grid = np.linspace(0.0, 2.0, 9)
-        approx = reconstruct(b, z, grid, mean_rate=0.5)
-        assert np.allclose(approx.values, 0.5 * grid, rtol=1e-14)
+        values = reconstruct(b, z, grid, mean_rate=0.5)
+        assert np.allclose(values, 0.5 * grid, rtol=1e-14)
 
     def test_batch_rows_bitwise_equal_across_batches(self):
         # Every product has inner dimension 64 and the blocks are added in
@@ -196,13 +195,13 @@ class TestReconstruct:
         Z = rng.standard_normal((24, 3000)) / np.arange(1, 3001)
         for d in (25, 65, 3000):
             b = KleBasis(T=1.0, d=d, alpha=1.0)
-            batch = reconstruct(b, Z[:, :d], grid).values
+            batch = reconstruct(b, Z[:, :d], grid)
             assert batch.shape == (24, len(grid))
-            assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=emat).values, batch)
+            assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=emat), batch)
             for lo in (0, 5, 22):
-                assert np.array_equal(reconstruct(b, Z[lo:lo + 2, :d], grid).values, batch[lo:lo + 2])
+                assert np.array_equal(reconstruct(b, Z[lo:lo + 2, :d], grid), batch[lo:lo + 2])
             for i in (0, 7):
-                single = reconstruct(b, Z[i, :d], grid).values
+                single = reconstruct(b, Z[i, :d], grid)
                 assert single.shape == grid.shape
                 assert np.max(np.abs(single - batch[i])) <= 1e-14 * np.sum(np.abs(Z[i, :d]))
 
@@ -213,10 +212,9 @@ class TestReconstruct:
         emat = b.eigenfunction_matrix(grid)
         weights = 1.0 - np.arange(130) / 130
         for mode, w in (("partial", 1.0), ("cesaro", weights)):
-            approx = reconstruct(b, Z, grid, mode=mode, mean_rate=0.5)
-            assert approx.mode == mode and approx.d == 130
-            assert np.array_equal(approx.mean_correction, 0.5 * grid)
-            assert np.allclose(approx.values, (Z * w) @ emat.T + 0.5 * grid, rtol=0.0, atol=1e-13)
+            values = reconstruct(b, Z, grid, mode=mode, mean_rate=0.5)
+            assert values.shape == (5, len(grid))
+            assert np.allclose(values, (Z * w) @ emat.T + 0.5 * grid, rtol=0.0, atol=1e-13)
 
     def test_bad_coefficient_or_matrix_shape_rejected(self):
         b = KleBasis(T=1.0, d=3, alpha=1.0)

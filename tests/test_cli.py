@@ -89,6 +89,55 @@ class TestConfig:
         rc = main(["mc-mean", "--d-list", "5,3", "--output-dir", str(tmp_path)])
         assert rc == 2
 
+    # case -> (command, extra flags, words the error line must hold)
+    BAD_INPUTS = {
+        "nan-gamma-cutoff": ("mc-mean", ["--gamma-cutoff", "nan"], "gamma_cutoff"),
+        "validate-too-few-paths": ("validate", ["--n-paths", "50"], "100 paths"),
+        "brownian-nan-sigma2": ("mc-mean", ["--model", "brownian", "--model-param", "sigma2=nan"], "finite"),
+        "gamma-nan-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=nan"], "finite"),
+        "gamma-inf-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=inf"], "finite"),
+        "cp-inf-rho": ("simulate-paths", ["--model", "cp_exponential", "--model-param", "rho=inf"], "finite"),
+        "vg-nan-c-neg": ("validate", ["--model", "variance_gamma", "--model-param", "c_neg=nan"], "finite"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, case):
+        command, extra, words = self.BAD_INPUTS[case]
+        # pytest captures warnings, so record them: a warning printed to
+        # stderr would be a second line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # The last --n-paths wins, so a case may override this one.
+            rc = main([command, "--n-paths", "200", "--d-list", "2", "--grid-n", "3",
+                       "--output-dir", str(tmp_path), *extra])
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_integral_json_values_rejected(self, tmp_path, capsys):
+        # A JSON value for an integer field must not be truncated or parsed
+        # ("25" is not the dimensions 2 and 5).
+        for field, value in (("n_paths", 2.7), ("d_list", [2.9]), ("grid_n", 3.5), ("seed", 1.5),
+                             ("workers", 1.5), ("n_paths", float("inf")), ("d_list", "25"), ("grid_n", "3")):
+            doc = {"n_paths": 2, "d_list": [2], "grid_n": 3, "seed": 1, field: value,
+                   "output_dir": str(tmp_path / "out")}
+            cfg_file = tmp_path / "exp.json"
+            cfg_file.write_text(json.dumps(doc))
+            assert main(["mc-mean", "--config", str(cfg_file)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and field in err and err.count("\n") == 1, err
+        cfg_file.write_text(json.dumps({"d_list": 5, "output_dir": str(tmp_path / "out")}))
+        assert main(["mc-mean", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # An integral float is an integer.
+        cfg_file.write_text(json.dumps({"n_paths": 2.0, "d_list": [2.0], "grid_n": 3.0,
+                                        "output_dir": str(tmp_path / "out")}))
+        assert main(["mc-mean", "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "out" / "levykle_mcmean_d2.csv").exists()
+
 
 class TestVarianceCapture:
     def test_frozen_values(self, capsys):
@@ -111,7 +160,7 @@ class TestCsv:
         b = rng.standard_normal(len(a)) * 10.0 ** rng.integers(-20, 20, len(a))
         path = tmp_path / "c.csv"
         cli._write_csv(path, "t,a,b", [cli._csv_column(a), cli._csv_column(a), cli._csv_column(b)])
-        rows = [f"{cli._float_csv(x)},{cli._float_csv(x)},{cli._float_csv(y)}" for x, y in zip(a, b)]
+        rows = [f"{float(x)!r},{float(x)!r},{float(y)!r}" for x, y in zip(a, b)]
         assert read(path) == "t,a,b\n" + "".join(r + "\n" for r in rows)
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 1], a) and np.array_equal(back[:, 2], b)
@@ -236,7 +285,7 @@ import numpy as np
 from levykle.basis import KleBasis, reconstruct
 from levykle.cli import main
 z = np.random.default_rng(4).standard_normal((1, 3000))
-values = reconstruct(KleBasis(T=1.0, d=3000, alpha=1.0), z, np.linspace(0.0, 1.0, 2000)).values
+values = reconstruct(KleBasis(T=1.0, d=3000, alpha=1.0), z, np.linspace(0.0, 1.0, 2000))
 print("reconstruct", hashlib.sha256(values.tobytes()).hexdigest(), file=sys.stderr)
 with tempfile.TemporaryDirectory() as tmp:
     for command, n_paths in (("mc-mean", "600"), ("simulate-paths", "3")):

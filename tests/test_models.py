@@ -238,3 +238,17 @@ class TestModelFromConfig:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             model_from_config({"model": "cauchy"})
+
+
+class TestFactoryParameters:
+    @pytest.mark.parametrize("factory,n_params", [
+        (make_brownian, 1), (make_gamma, 2), (make_cp_exponential, 2), (make_variance_gamma, 4)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_rejected(self, factory, n_params, bad):
+        # Each parameter in turn; the message says what is required, and a
+        # bad value is refused before anything evaluates it (no warning).
+        for i in range(n_params):
+            params = [1.0] * n_params
+            params[i] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                factory(*params)

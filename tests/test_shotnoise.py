@@ -422,9 +422,9 @@ class TestSamplers:
         cp = make_cp_exponential(3.0, 1.5)
         basis = KleBasis(T=1.0, d=3, alpha=cp.alpha)
         cfg = ShotConfig(seed=1)
-        raw = sample_coeffs(as_split(cp), basis, cfg, keep_record=True)
+        raw = sample_coeffs(as_split(cp), basis, cfg)
         done = sample_coeffs(as_split(center(cp)), basis, cfg)
-        assert raw.shot_record.pos.drift_a == -cp.jump_mean
+        assert raw.pos.drift_a == -cp.jump_mean
         assert np.array_equal(raw.z, done.z)
         Z_raw, _, _ = sample_coeffs_batch(as_split(cp), basis, cfg, 5)
         Z_done, _, _ = sample_coeffs_batch(as_split(center(cp)), basis, cfg, 5)
@@ -434,8 +434,8 @@ class TestSamplers:
     def _centering_route(model, basis, cfg, idx):
         # Jump sum of the kept record compensated by the series centering at
         # the truncation level instead of the drift vector.
-        s = sample_coeffs(as_split(model), basis, cfg, sample_index=idx, keep_record=True)
-        rec = s.shot_record.pos
+        s = sample_coeffs(as_split(model), basis, cfg, sample_index=idx)
+        rec = s.pos
         tail = center(model).tail_pos
         stop = gamma_stop_level(tail, basis.T, cfg)
         return s.z, shot_sum(basis, rec.jump_sizes, rec.uniforms) - centering_vector(tail, basis, stop)
@@ -501,7 +501,7 @@ class TestExtendDimension:
             fresh = sample_coeffs(vg, b25, cfg, sample_index=idx)
             for d in (1, 5):
                 small = sample_coeffs(vg, KleBasis(T=1.0, d=d, alpha=vg.alpha), cfg,
-                                      sample_index=idx, keep_record=True)
+                                      sample_index=idx)
                 grown = extend_dimension(small, 25)
                 assert np.array_equal(grown.z, fresh.z)
                 assert np.array_equal(grown.z[:d], small.z)
@@ -513,30 +513,40 @@ class TestExtendDimension:
         fresh = sample_coeffs(vg, KleBasis(T=1.0, d=200, alpha=vg.alpha), cfg, sample_index=4)
         for d in (63, 64, 65, 128, 129):
             small = sample_coeffs(vg, KleBasis(T=1.0, d=d, alpha=vg.alpha), cfg,
-                                  sample_index=4, keep_record=True)
+                                  sample_index=4)
             assert np.array_equal(extend_dimension(small, 200).z, fresh.z)
 
     def test_same_dimension_is_identity(self, vg):
         cfg = ShotConfig(seed=31)
         b5 = KleBasis(T=1.0, d=5, alpha=vg.alpha)
-        small = sample_coeffs(vg, b5, cfg, keep_record=True)
+        small = sample_coeffs(vg, b5, cfg)
         again = extend_dimension(small, 5)
         assert np.array_equal(again.z, small.z)
 
     def test_shrinking_rejected(self, vg):
         cfg = ShotConfig(seed=31)
         b5 = KleBasis(T=1.0, d=5, alpha=vg.alpha)
-        small = sample_coeffs(vg, b5, cfg, keep_record=True)
+        small = sample_coeffs(vg, b5, cfg)
         with pytest.raises(ValueError):
             extend_dimension(small, 3)
 
-    def test_missing_record_rejected(self, vg):
+    def test_inconsistent_sample_rejected(self, vg):
+        # The streams a sample keeps must give back its own z before it grows.
         cfg = ShotConfig(seed=31)
-        b5 = KleBasis(T=1.0, d=5, alpha=vg.alpha)
-        small = sample_coeffs(vg, b5, cfg)
-        assert small.shot_record is None
-        with pytest.raises(ValueError):
-            extend_dimension(small, 25)
+        small = sample_coeffs(vg, KleBasis(T=1.0, d=5, alpha=vg.alpha), cfg)
+        other = sample_coeffs(vg, KleBasis(T=1.0, d=5, alpha=vg.alpha), cfg, sample_index=1)
+        for z in (other.z, np.nextafter(small.z, np.inf)):
+            with pytest.raises(ValueError, match="inconsistent"):
+                extend_dimension(replace(small, z=z), 25)
+
+    def test_sample_carries_its_record(self, vg):
+        cfg = ShotConfig(seed=31)
+        s = sample_coeffs(vg, KleBasis(T=2.0, d=5, alpha=vg.alpha), cfg, sample_index=6)
+        assert (s.d, s.seed, s.sample_index, s.T, s.alpha, s.sigma2) == (5, 31, 6, 2.0, vg.alpha, 0.0)
+        assert (s.n_terms_pos, s.n_terms_neg) == (len(s.pos.gammas), len(s.neg.gammas))
+        assert len(s.pos.jump_sizes) == len(s.pos.uniforms) == s.n_terms_pos > 0
+        grown = extend_dimension(s, 9)
+        assert grown.d == 9 and grown.pos is s.pos and grown.neg is s.neg
 
 
 class TestOneKernel:
@@ -556,7 +566,7 @@ class TestOneKernel:
         wide = KleBasis(T=1.0, d=d + extra, alpha=vg_gauss.alpha)
         Z, n_pos, n_neg = sample_coeffs_batch(vg_gauss, basis, cfg, 3, start_index=start, chunk=chunk)
         for j in range(3):
-            s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j, keep_record=True)
+            s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j)
             assert np.array_equal(Z[j], s.z)
             assert (n_pos[j], n_neg[j]) == (s.n_terms_pos, s.n_terms_neg)
             fresh = sample_coeffs(vg_gauss, wide, cfg, sample_index=start + j)
