@@ -1,14 +1,15 @@
 """Truncated Karhunen-Loeve expansions of square-integrable Levy processes.
 
 The package splits into small layers: ``special`` (exponential integral and
-its tabulated inverse), ``models`` (h0 drifts, tail integrals and the stock
-processes), ``harmonics`` (exactly reduced anchor angles and rotation
-ladders, shared by both directions of the expansion), ``basis`` (the
-closed-form sine eigenbasis and path reconstruction), ``shotnoise``
-(series samplers for the coefficient vector), ``oracles`` (independent
-references: quadrature exponents, the batched direct series, the series
-centering and brute-force integration),
-``validation`` (statistical suites against them) and ``cli``.
+its tabulated inverse), ``models`` (h0 drifts, tail integrals, the stock
+processes and the composite ``SplitModel``, whose ``parts`` list its signed
+jump parts), ``basis`` (the closed-form sine eigenbasis, path
+reconstruction, and the exactly reduced anchor angles and rotation ladders
+shared by both directions of the expansion), ``shotnoise`` (series samplers
+for the coefficient vector), ``oracles`` (independent references on a
+``SplitModel``: quadrature exponents, the batched direct series, the series
+centering and brute-force integration), ``validation`` (statistical suites
+against them) and ``cli``.
 """
 
 from .basis import KleBasis, reconstruct, variance_capture

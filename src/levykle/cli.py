@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import KleBasis, reconstruct, variance_capture
+from .basis import _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
 from .models import SplitModel, model_from_config
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("d_list must be nonempty")
         if any(int(d) != d or d < 1 for d in self.d_list):
             raise ConfigError(f"d_list must contain positive integers, got {self.d_list!r}")
+        if max(self.d_list) > _MAX_DIMENSION:
+            raise ConfigError(f"d_list entries must be at most {_MAX_DIMENSION}, got {max(self.d_list)!r}")
         if list(self.d_list) != sorted(set(self.d_list)):
             raise ConfigError(f"d_list must be strictly ascending, got {self.d_list!r}")
         if self.n_paths < 1:
@@ -81,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid_n must be at least 2, got {self.grid_n!r}")
         if self.mode not in ("partial", "cesaro"):
             raise ConfigError(f"mode must be 'partial' or 'cesaro', got {self.mode!r}")
-        if not self.gamma_cutoff > 0.0:
-            raise ConfigError(f"gamma_cutoff must be positive, got {self.gamma_cutoff!r}")
+        if not 0.0 < self.gamma_cutoff < math.inf:
+            raise ConfigError(f"gamma_cutoff must be positive and finite, got {self.gamma_cutoff!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.workers < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,8 @@ from .special import (
 )
 
 __all__ = [
+    "PART_POS",
+    "PART_NEG",
     "ModelConditionError",
     "GeneratingTriple",
     "TailIntegral",
@@ -50,6 +53,11 @@ __all__ = [
     "as_split",
     "model_from_config",
 ]
+
+# Labels of a composite's jump parts, in ``SplitModel.parts`` order; they
+# also key the parts' arrival streams.
+PART_POS = 0
+PART_NEG = 1
 
 # Numeric windows for the registration-time integrability checks.
 _SMALL_JUMP_WINDOW = (1e-10, 1.0)
@@ -144,10 +152,6 @@ class LevyModel:
         """E[X_1]: drift plus jump mean."""
         return self.triple.a + self.jump_mean
 
-    @property
-    def is_centered(self) -> bool:
-        return abs(self.mean_rate) <= 1e-12 * max(1.0, abs(self.jump_mean))
-
 
 def center(model: LevyModel) -> LevyModel:
     """Remove the mean rate so the returned model satisfies psi'(0) = 0.
@@ -191,18 +195,17 @@ def make_brownian(sigma2: float) -> LevyModel:
     )
 
 
-def make_gamma(c: float, rho: float, e1_inverse=None) -> LevyModel:
+def make_gamma(c: float, rho: float) -> LevyModel:
     """Gamma subordinator with Levy density pi(x) = c exp(-rho x) / x on (0, inf).
 
     The tail integral is g(x) = c E1(rho x) with inverse driven by the shared
-    E1 lookup table (or a caller-supplied one); g(0) = inf, the jump mean is
-    m = c / rho, the uncentered exponent is psi(z) = c log(1 - iz/rho), and
-    alpha = c / rho^2.
+    E1 lookup table; g(0) = inf, the jump mean is m = c / rho, the
+    uncentered exponent is psi(z) = c log(1 - iz/rho), and alpha = c / rho^2.
     """
     if not (0.0 < c < math.inf and 0.0 < rho < math.inf):
         raise ValueError(f"c and rho must be positive and finite, got c={c!r}, rho={rho!r}")
     c, rho = float(c), float(rho)
-    table = e1_inverse if e1_inverse is not None else default_e1_inverse()
+    table = default_e1_inverse()
 
     def density(x, _c=c, _r=rho):
         return _c * np.exp(-_r * np.asarray(x)) / np.asarray(x)
@@ -343,8 +346,7 @@ def from_density(name: str, density: Callable) -> LevyModel:
     keep = g_grid > 0.0
     keep[:-1] &= g_grid[:-1] > g_grid[1:]
     log_g, log_x = np.log(g_grid[keep])[::-1], np.log(xs[keep])[::-1]
-    table = MonotoneInverseTable(breakpoints=log_g, values=log_x,
-                                 domain_lo=log_g[0], domain_hi=log_g[-1])
+    table = MonotoneInverseTable(breakpoints=log_g, values=log_x)
 
     def g_inv(y, _t=table, _g0=g0_val):
         ys = np.asarray(y, dtype=float)
@@ -392,10 +394,11 @@ class SplitModel:
     """Difference of two independent positive-jump parts plus a Gaussian part.
 
     ``pos`` and ``neg`` are uncentered subordinator-type models; the sampler
-    centers each part on the fly. ``mean_rate`` is the deterministic
-    i psi'(0) of the composite, re-added per unit time when paths are
-    reconstructed. ``psi`` is the exponent of the centered composite;
-    ``psi_uncentered`` keeps the raw combination for reference.
+    centers each part on the fly. ``parts`` lists the parts present with
+    their labels and signs, for every caller that walks them. ``mean_rate``
+    is the deterministic i psi'(0) of the composite, re-added per unit time
+    when paths are reconstructed. ``psi`` is the exponent of the centered
+    composite; ``psi_uncentered`` keeps the raw combination for reference.
     """
 
     name: str
@@ -403,31 +406,35 @@ class SplitModel:
     neg: LevyModel | None
     gaussian_sigma2: float = 0.0
 
+    @cached_property
+    def parts(self) -> tuple[tuple[int, float, LevyModel], ...]:
+        """``(label, sign, part)`` per jump part present, in the order
+        ``(PART_POS, 1.0, pos)``, ``(PART_NEG, -1.0, neg)``.
+
+        Cached: ``psi`` walks it inside quadratures, thousands of times.
+        """
+        return tuple((label, sign, part) for label, sign, part in
+                     ((PART_POS, 1.0, self.pos), (PART_NEG, -1.0, self.neg)) if part is not None)
+
     @property
     def mean_rate(self) -> float:
         mu = 0.0
-        if self.pos is not None:
-            mu += self.pos.mean_rate
-        if self.neg is not None:
-            mu -= self.neg.mean_rate
+        for _, sign, part in self.parts:
+            mu += sign * part.mean_rate
         return mu
 
     @property
     def alpha(self) -> float:
         a = self.gaussian_sigma2
-        if self.pos is not None:
-            a += self.pos.alpha
-        if self.neg is not None:
-            a += self.neg.alpha
+        for _, _, part in self.parts:
+            a += part.alpha
         return a
 
     def psi_uncentered(self, z):
         z = np.asarray(z)
         val = 0.5 * self.gaussian_sigma2 * z**2 + 0j
-        if self.pos is not None:
-            val = val + self.pos.psi(z)
-        if self.neg is not None:
-            val = val + self.neg.psi(-z)
+        for _, sign, part in self.parts:
+            val = val + part.psi(sign * z)
         return val
 
     def psi(self, z):

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.stats
 
 from .basis import KleBasis
-from .models import LevyModel, SplitModel, TailIntegral, center
+from .models import LevyModel, SplitModel, TailIntegral
 from .shotnoise import ArrivalStream, ShotConfig, TruncationCapError, arrival_streams, gamma_stop_level
 from .special import quad
 
@@ -39,17 +39,14 @@ __all__ = [
     "mixed_fourth_cumulant",
 ]
 
-
-def _centered_psi(model):
-    """The centered characteristic exponent of a model or composite."""
-    if isinstance(model, SplitModel):
-        return model.psi
-    if model.is_centered:
-        return model.psi
-    return center(model).psi
+# Relative tolerances of the quadrature oracles: the characteristic exponent,
+# and the outer (time) integral of the mixed fourth cumulant, whose inner
+# (jump size) integrals run at a tenth of it.
+_EXPONENT_RTOL = 1e-10
+_CUMULANT_RTOL = 1e-8
 
 
-def coeff_char_exponent(model, basis: KleBasis, z, rtol: float = 1e-10) -> complex:
+def coeff_char_exponent(model: SplitModel, basis: KleBasis, z) -> complex:
     """Characteristic exponent of the coefficient vector at the point z.
 
     Quadrature of psi(<z, u(t)>) over [0, T], where u(t) is the integrated
@@ -59,12 +56,12 @@ def coeff_char_exponent(model, basis: KleBasis, z, rtol: float = 1e-10) -> compl
     zz = np.asarray(z, dtype=float)
     if zz.shape != (basis.d,):
         raise ValueError(f"z must have shape ({basis.d},)")
-    psi = _centered_psi(model)
+    psi = model.psi
 
     def integrand(t):
         return psi(float(zz @ basis.u_vector(t)))
 
-    return complex(quad(integrand, 0.0, basis.T, rtol=rtol))
+    return complex(quad(integrand, 0.0, basis.T, rtol=_EXPONENT_RTOL))
 
 
 def _arrivals_below(stream: ArrivalStream, stop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -180,20 +177,7 @@ def ks_two_sample(a, b) -> KsResult:
     return KsResult(statistic=float(res.statistic), pvalue=float(res.pvalue))
 
 
-def _density_parts(model):
-    parts = []
-    if isinstance(model, SplitModel):
-        if model.pos is not None and model.pos.tail_pos is not None:
-            parts.append(model.pos.tail_pos.density)
-        if model.neg is not None and model.neg.tail_pos is not None:
-            parts.append(model.neg.tail_pos.density)
-    else:
-        if model.tail_pos is not None:
-            parts.append(model.tail_pos.density)
-    return parts
-
-
-def mixed_fourth_cumulant(model, basis: KleBasis, j: int, k: int, rtol: float = 1e-8) -> float:
+def mixed_fourth_cumulant(model: SplitModel, basis: KleBasis, j: int, k: int) -> float:
     """Mixed fourth cumulant int_0^T int f_j(x,t)^2 f_k(x,t)^2 pi(x) dx dt.
 
     Equals Cov(Z_j^2, Z_k^2) for a centered pure-jump model, so a strictly
@@ -204,7 +188,7 @@ def mixed_fourth_cumulant(model, basis: KleBasis, j: int, k: int, rtol: float = 
     """
     if j == k:
         raise ValueError("mixed cumulant requires two distinct indices")
-    densities = _density_parts(model)
+    densities = [part.tail_pos.density for _, _, part in model.parts]
     if not densities:
         return 0.0
     T = basis.T
@@ -218,7 +202,8 @@ def mixed_fourth_cumulant(model, basis: KleBasis, j: int, k: int, rtol: float = 
         fk = ck * math.cos(wk * t)
         total = 0.0
         for dens in densities:
-            total += quad(lambda x: (x * fj) ** 2 * (x * fk) ** 2 * dens(x), 0.0, math.inf, rtol=0.1 * rtol)
+            total += quad(lambda x: (x * fj) ** 2 * (x * fk) ** 2 * dens(x), 0.0, math.inf,
+                          rtol=0.1 * _CUMULANT_RTOL)
         return total
 
-    return quad(inner, 0.0, T, rtol=rtol)
+    return quad(inner, 0.0, T, rtol=_CUMULANT_RTOL)

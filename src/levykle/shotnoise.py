@@ -15,8 +15,10 @@ negative part is sampled on its own substream and subtracted, and a Brownian
 component adds an independent Gaussian vector.
 
 One construction serves every caller. A plan, built once per (model, basis,
-config), holds each part's substream label, sign, centered tail, stop level
-and drift vector, plus the Gaussian scale; one batched kernel consumes it.
+config) from ``SplitModel.parts``, holds each part's substream label, sign,
+centered tail, stop level and drift vector, plus the Gaussian scale; one
+batched kernel consumes it. The cosine blocks use the exactly reduced anchor
+angles and rotation ladders of ``basis``, which path reconstruction shares.
 ``sample_coeffs`` is the batch of one plus the streams it drew, and
 ``extend_dimension`` adds parts to a row through the kernel's own helper, so
 batch rows, single samples and grown samples agree bitwise by construction.
@@ -24,7 +26,7 @@ batch rows, single samples and grown samples agree bitwise by construction.
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
 flattened jumps with per-sample row offsets; a sample's rows are cut into
 pieces of at most 512. The cosines are harmonics of one angle pi u per row,
-so they come from rotation ladders (``harmonics._rotations``: a few trig
+so they come from rotation ladders (``basis._rotations``: a few trig
 calls per row, then products and sums) rather than one ``cos`` call per row
 and column.
 Columns k <= 64 are x cos((k - 1/2) pi u), a ladder from pi u / 2 in steps
@@ -63,9 +65,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .basis import KleBasis
-from .harmonics import _BLOCK, _anchor_angles, _rotations
-from .models import SplitModel, TailIntegral, center
+from .basis import _BLOCK, KleBasis, _anchor_angles, _rotations
+from .models import PART_NEG, PART_POS, SplitModel, TailIntegral, center
 
 __all__ = [
     "PART_POS",
@@ -86,8 +87,8 @@ __all__ = [
     "extend_dimension",
 ]
 
-PART_POS = 0
-PART_NEG = 1
+# The jump parts' stream labels PART_POS and PART_NEG (0, 1) come from
+# ``models``; the Gaussian part's follows them.
 PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
@@ -156,8 +157,8 @@ class ShotConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.gamma_cutoff > 0.0:
-            raise ValueError("gamma_cutoff must be positive")
+        if not 0.0 < self.gamma_cutoff < math.inf:
+            raise ValueError("gamma_cutoff must be positive and finite")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -597,9 +598,7 @@ def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
     drawn.
     """
     parts = []
-    for label, sign, part in ((PART_POS, 1.0, model.pos), (PART_NEG, -1.0, model.neg)):
-        if part is None:
-            continue
+    for label, sign, part in model.parts:
         c = center(part)
         stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
         if stop > cfg.max_terms:

@@ -54,6 +54,8 @@ _STENCIL = 4
 # Intervals per block when building the Horner coefficients: bounds the
 # build's temporaries to about 2 MB.
 _COEFF_BLOCK = 1 << 14
+# Subinterval limit of the adaptive quadrature.
+_QUAD_LIMIT = 200
 
 
 class QuadratureError(RuntimeError):
@@ -193,18 +195,17 @@ class MonotoneInverseTable:
     default table (its breakpoints and values take 3.2 MB), built in about
     20 ms with 1.5 MB of temporaries.
 
-    Out-of-domain arguments clamp: ``y > domain_hi`` returns the abscissa at
-    the ``domain_hi`` boundary, while ``y < domain_lo`` returns 0, the
-    "below truncation threshold" convention used by the jump samplers.
+    The domain is the breakpoints' range, ``domain_lo = bp[0]`` to
+    ``domain_hi = bp[-1]``. Out-of-domain arguments clamp: ``y > domain_hi``
+    returns the abscissa at the ``domain_hi`` boundary, while
+    ``y < domain_lo`` returns 0, the "below truncation threshold" convention
+    used by the jump samplers.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    domain_lo: float
-    domain_hi: float
     forward: Callable | None = None
     forward_derivative: Callable | None = None
-    spacing_bound: float | None = None
     # Built in __post_init__: the index coordinate's kind, origin and cells
     # per unit, the guide (interval brackets of the cells), the number of
     # bisection passes, and the per-interval Horner coefficients.
@@ -228,14 +229,6 @@ class MonotoneInverseTable:
             raise ValueError("breakpoints must be strictly increasing")
         if not np.all(np.diff(vals) < 0.0):
             raise ValueError("values must be strictly decreasing")
-        if self.spacing_bound is not None:
-            gap = float(np.max(np.diff(bp)))
-            if gap > self.spacing_bound:
-                raise ValueError(
-                    f"breakpoint spacing {gap:.6g} exceeds bound {self.spacing_bound:.6g}"
-                )
-        if not (self.domain_lo <= bp[0] and bp[-1] <= self.domain_hi + 1e-12 * abs(self.domain_hi)):
-            raise ValueError("breakpoints must cover [domain_lo, domain_hi]")
         self._build_guide(bp)
         object.__setattr__(self, "_coefficients", _cubic_coefficients(bp, vals))
 
@@ -266,9 +259,14 @@ class MonotoneInverseTable:
         object.__setattr__(self, "_passes", math.ceil(math.log2(widest + 1)))
 
     @property
-    def max_gap(self) -> float:
-        """Largest spacing between adjacent breakpoints."""
-        return float(np.max(np.diff(self.breakpoints)))
+    def domain_lo(self) -> float:
+        """The first breakpoint: smaller arguments invert to 0."""
+        return float(self.breakpoints[0])
+
+    @property
+    def domain_hi(self) -> float:
+        """The last breakpoint: larger arguments invert to the last value."""
+        return float(self.breakpoints[-1])
 
     def _locate(self, y: np.ndarray) -> np.ndarray:
         """Interval index ``clip(searchsorted(bp, y, "right") - 1, 0, n - 2)``."""
@@ -366,14 +364,15 @@ def build_e1_inverse(
     # Nudge the endpoint ordinates onto the requested domain so callers can
     # query the advertised closed interval without falling into the clamps.
     ys[0], ys[-1] = domain_lo, domain_hi
+    if spacing_bound is not None:
+        gap = float(np.max(np.diff(ys)))
+        if gap > spacing_bound:
+            raise ValueError(f"breakpoint spacing {gap:.6g} exceeds bound {spacing_bound:.6g}")
     table = MonotoneInverseTable(
         breakpoints=ys,
         values=xs,
-        domain_lo=domain_lo,
-        domain_hi=domain_hi,
         forward=exp_integral_e1,
         forward_derivative=lambda x: -np.exp(-x) / x,
-        spacing_bound=spacing_bound,
     )
     probe_x = np.logspace(math.log10(x_lo), math.log10(x_hi), 64)[1:-1]
     err = np.abs(table(exp_integral_e1(probe_x)) - probe_x)
@@ -388,9 +387,9 @@ def default_e1_inverse() -> MonotoneInverseTable:
     return build_e1_inverse()
 
 
-def _quad_real(f, a, b, rtol, atol, limit):
+def _quad_real(f, a, b, rtol, atol):
     val, err, info, *rest = scipy.integrate.quad(
-        f, a, b, epsabs=atol, epsrel=rtol, limit=limit, full_output=1
+        f, a, b, epsabs=atol, epsrel=rtol, limit=_QUAD_LIMIT, full_output=1
     )
     if rest:
         raise QuadratureError(str(rest[0]), estimate=val, error_bound=err)
@@ -403,7 +402,6 @@ def quad(
     b: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    limit: int = 200,
 ):
     """Adaptive quadrature of ``f`` on ``[a, b]`` to relative tolerance ``rtol``.
 
@@ -415,8 +413,8 @@ def quad(
     """
     probe = f(0.5 * (a + b) if np.isfinite(a) and np.isfinite(b) else (a + 1.0 if np.isfinite(a) else 0.0))
     if np.iscomplexobj(np.asarray(probe)):
-        re, _ = _quad_real(lambda t: f(t).real, a, b, rtol, atol, limit)
-        im, _ = _quad_real(lambda t: f(t).imag, a, b, rtol, atol, limit)
+        re, _ = _quad_real(lambda t: f(t).real, a, b, rtol, atol)
+        im, _ = _quad_real(lambda t: f(t).imag, a, b, rtol, atol)
         return complex(re, im)
-    val, _ = _quad_real(f, a, b, rtol, atol, limit)
+    val, _ = _quad_real(f, a, b, rtol, atol)
     return val

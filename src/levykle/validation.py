@@ -31,11 +31,21 @@ __all__ = [
     "run_validation",
 ]
 
-# Sub-stream labels for oracle draws; the samplers use parts 0..2, so these
-# never collide with coefficient streams under the same seed.
-_DIRECT_POS_PART = 7
-_DIRECT_NEG_PART = 8
+# Sub-stream labels for oracle draws: the direct series of jump part
+# ``label`` uses _DIRECT_PART + label (7 and 8); the samplers use parts 0..2,
+# so these never collide with coefficient streams under the same seed.
+_DIRECT_PART = 7
 _REFERENCE_PART = 9
+# Check-name suffixes of the jump parts, indexed by their labels.
+_PART_NAMES = ("pos", "neg")
+# Grid scale of the characteristic function check.
+_CF_SCALE = 0.5
+# KS significance level, and the number of samples the KS suite compares
+# with the direct series.
+_KS_LEVEL = 0.01
+_KS_DIRECT = 2000
+# Largest relative error allowed in a tail's inversion roundtrip.
+_ROUNDTRIP_RTOL = 1e-8
 # dependence.positive gates only where the oracle sits this many SE above 0:
 # cov / SE is then about N(oracle / SE, 1), so it clears the 4 SE gate with
 # probability at least 99% (one-sided z = 2.33) when the model is right.
@@ -88,11 +98,10 @@ def moment_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray) -> list[dict
     return checks
 
 
-def cf_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, scale: float = 0.5,
-             rtol: float = 1e-10) -> list[dict]:
+def cf_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray) -> list[dict]:
     """Empirical characteristic function against the quadrature exponent.
 
-    Evaluates both on the grid scale * {-1, 0, 1}^m over the first
+    Evaluates both on the grid 0.5 * {-1, 0, 1}^m over the first
     m = min(d, 3) coordinates and compares the worst absolute deviation to
     4/sqrt(N).
     """
@@ -101,33 +110,32 @@ def cf_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, scale: float = 0
     pts = []
     for combo in itertools.product((-1.0, 0.0, 1.0), repeat=m):
         z = np.zeros(d)
-        z[:m] = scale * np.array(combo)
+        z[:m] = _CF_SCALE * np.array(combo)
         pts.append(z)
     grid = np.stack(pts)
     emp = np.exp(1j * (Z @ grid.T)).mean(axis=0)
-    exact = np.array([np.exp(-coeff_char_exponent(model, basis, z, rtol=rtol)) for z in grid])
+    exact = np.array([np.exp(-coeff_char_exponent(model, basis, z)) for z in grid])
     worst = float(np.max(np.abs(emp - exact)))
     tol = 4.0 / math.sqrt(n)
     return [_check("cf.grid_agreement", worst, tol, worst <= tol,
                    f"max |empirical - exp(-Psi)| over {len(grid)} grid points")]
 
 
-def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
-             level: float = 0.01, n_direct: int | None = None) -> list[dict]:
+def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig) -> list[dict]:
     """Two-sample KS between the expansion at t = T and an independent route.
 
-    The expansion side is the partial sum S_T = <Z, e(T)>. The reference is
-    the centered direct series for jump parts (plus an exact Gaussian part),
-    or, for a jump-free model, Gaussian draws with the truncated variance
-    sum_k lambda_k e_k(T)^2. A purely finite-activity model has an atom at
-    the zero-jump event whose location, not mass, depends on the truncation;
-    the KS sup-distance between two atoms equals the atom mass however close
-    they sit, so in that case the atom masses are compared as proportions
-    and the KS test runs on the non-atom subsamples. Passes when the KS test
-    is not rejected at ``level``.
+    The expansion side is the partial sum S_T = <Z, e(T)> over the first
+    2000 samples (all, if fewer), against as many reference draws. The
+    reference is the centered direct series for jump parts (plus an exact
+    Gaussian part), or, for a jump-free model, Gaussian draws with the
+    truncated variance sum_k lambda_k e_k(T)^2. A purely finite-activity
+    model has an atom at the zero-jump event whose location, not mass,
+    depends on the truncation; the KS sup-distance between two atoms equals
+    the atom mass however close they sit, so in that case the atom masses
+    are compared as proportions and the KS test runs on the non-atom
+    subsamples. Passes when the KS test is not rejected at level 0.01.
     """
-    n = Z.shape[0]
-    m = n if n_direct is None else min(n, n_direct)
+    m = min(Z.shape[0], _KS_DIRECT)
     T = basis.T
     e_T = basis.eigenfunction_matrix(np.array([T]))[0]
     s_T = Z[:m] @ e_T
@@ -136,18 +144,12 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
     labels = []
     finite_activity = model.gaussian_sigma2 == 0.0
     atom_s = 0.0
-    if model.pos is not None:
-        ref += direct_series_subordinator(model.pos.tail_pos, T, T, m, _DIRECT_POS_PART, cfg)
-        labels.append("+pos")
-        c = center(model.pos)
+    for label, sign, part in model.parts:
+        ref += sign * direct_series_subordinator(part.tail_pos, T, T, m, _DIRECT_PART + label, cfg)
+        labels.append(("+" if sign > 0.0 else "-") + _PART_NAMES[label])
+        c = center(part)
         finite_activity &= math.isfinite(c.tail_pos.g0)
-        atom_s += float(basis.drift_vector(c.triple.a) @ e_T)
-    if model.neg is not None:
-        ref -= direct_series_subordinator(model.neg.tail_pos, T, T, m, _DIRECT_NEG_PART, cfg)
-        labels.append("-neg")
-        c = center(model.neg)
-        finite_activity &= math.isfinite(c.tail_pos.g0)
-        atom_s -= float(basis.drift_vector(c.triple.a) @ e_T)
+        atom_s += sign * float(basis.drift_vector(c.triple.a) @ e_T)
     if labels:
         ref -= model.mean_rate * T
     if model.gaussian_sigma2 > 0.0:
@@ -174,12 +176,13 @@ def ks_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray, cfg: ShotConfig,
         s_T = s_T[~on_atom_s]
         ref = ref[~on_atom_ref]
         if min(len(s_T), len(ref)) < 100:
-            checks.append(_check("ks.terminal_marginal", 0.0, level, True,
+            checks.append(_check("ks.terminal_marginal", 0.0, _KS_LEVEL, True,
                                  "skipped: fewer than 100 non-atom samples"))
             return checks
     res = ks_two_sample(s_T, ref)
-    checks.append(_check("ks.terminal_marginal", res.statistic, level, res.pvalue >= level,
-                         f"p-value {res.pvalue:.4g} vs level {level:g}; reference route {'/'.join(labels)}; N={len(ref)}"))
+    checks.append(_check("ks.terminal_marginal", res.statistic, _KS_LEVEL, res.pvalue >= _KS_LEVEL,
+                         f"p-value {res.pvalue:.4g} vs level {_KS_LEVEL:g}; "
+                         f"reference route {'/'.join(labels)}; N={len(ref)}"))
     return checks
 
 
@@ -226,7 +229,7 @@ def dependence_suite(model: SplitModel, basis: KleBasis, Z: np.ndarray) -> list[
     return checks
 
 
-def _roundtrip_tail(name: str, tail: TailIntegral, rtol: float = 1e-8) -> dict:
+def _roundtrip_tail(name: str, tail: TailIntegral) -> dict:
     """Max relative error of g_inv(g(x)) = x over the invertible range.
 
     Probes log-spaced x; points whose forward value falls in a clamp region
@@ -247,25 +250,18 @@ def _roundtrip_tail(name: str, tail: TailIntegral, rtol: float = 1e-8) -> dict:
             continue
         n_valid += 1
         worst = max(worst, abs(xr - x) / max(1.0, x))
-    passed = n_valid >= 30 and worst <= rtol
-    return _check(f"roundtrip.{name}", worst, rtol, passed,
+    passed = n_valid >= 30 and worst <= _ROUNDTRIP_RTOL
+    return _check(f"roundtrip.{name}", worst, _ROUNDTRIP_RTOL, passed,
                   f"{n_valid} probe points inside the invertible range")
 
 
 def roundtrip_suite(model: SplitModel) -> list[dict]:
     """Tail inversion identity for every jump part of the model."""
-    checks = []
-    if model.pos is not None:
-        checks.append(_roundtrip_tail("pos", model.pos.tail_pos))
-    if model.neg is not None:
-        checks.append(_roundtrip_tail("neg", model.neg.tail_pos))
-    if not checks:
-        checks.append(_check("roundtrip.none", 0.0, 0.0, True, "no jump part"))
-    return checks
+    checks = [_roundtrip_tail(_PART_NAMES[label], part.tail_pos) for label, _, part in model.parts]
+    return checks or [_check("roundtrip.none", 0.0, 0.0, True, "no jump part")]
 
 
-def run_validation(model: SplitModel, T: float, d: int, n_samples: int, cfg: ShotConfig,
-                   ks_level: float = 0.01, ks_direct: int | None = 2000) -> dict:
+def run_validation(model: SplitModel, T: float, d: int, n_samples: int, cfg: ShotConfig) -> dict:
     """Run all suites on freshly sampled coefficients and bundle a report.
 
     ``cfg`` is the sampler configuration (seed, truncation, ``jump_floor``);
@@ -278,7 +274,7 @@ def run_validation(model: SplitModel, T: float, d: int, n_samples: int, cfg: Sho
     checks = []
     checks += moment_suite(model, basis, Z)
     checks += cf_suite(model, basis, Z)
-    checks += ks_suite(model, basis, Z, cfg, level=ks_level, n_direct=ks_direct)
+    checks += ks_suite(model, basis, Z, cfg)
     checks += dependence_suite(model, basis, Z)
     checks += roundtrip_suite(model)
     return {

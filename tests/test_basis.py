@@ -1,13 +1,14 @@
 """Sine eigenbasis, integrated basis, drift shapes and path reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levykle.basis import KleBasis, reconstruct, variance_capture
+from levykle.basis import _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
 from levykle.shotnoise import shot_sum
 from levykle.special import quad
 
@@ -253,3 +254,20 @@ class TestBasisValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             KleBasis(**kwargs)
+
+    def test_dimension_bounded_by_exact_anchors(self):
+        # Anchor angles are exact below k = 2^26 and shot_sum's last tile
+        # reaches 512 columns past d; past the bound the coefficients would
+        # come out silently wrong. The check runs before anything is built.
+        assert _MAX_DIMENSION + 1024 == 2**26
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="d must be"):
+                KleBasis(T=1.0, d=2**26, alpha=1.0)
+            with pytest.raises(ValueError, match="d must be"):
+                KleBasis(T=1.0, d=_MAX_DIMENSION + 1, alpha=1.0)
+            assert KleBasis(T=1.0, d=_MAX_DIMENSION, alpha=1.0).d == _MAX_DIMENSION
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

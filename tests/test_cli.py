@@ -42,6 +42,10 @@ class TestConfig:
             ExperimentConfig(workers=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=-1).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(gamma_cutoff=float("inf")).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(d_list=(5, 2**26)).validate()
 
     def test_json_config_with_flag_override(self, tmp_path, capsys):
         doc = {"model": {"model": "gamma", "c": 1.0, "rho": 1.0},
@@ -92,6 +96,11 @@ class TestConfig:
     # case -> (command, extra flags, words the error line must hold)
     BAD_INPUTS = {
         "nan-gamma-cutoff": ("mc-mean", ["--gamma-cutoff", "nan"], "gamma_cutoff"),
+        # An infinite cutoff is a bad setting, not a series hitting max_terms (exit 3).
+        "inf-gamma-cutoff": ("mc-mean", ["--n-paths", "2", "--d-list", "5", "--gamma-cutoff", "inf"],
+                             "gamma_cutoff"),
+        # Rejected before the n x d and grid x d matrices (GBs here) are allocated.
+        "dimension-past-exact-anchors": ("mc-mean", ["--n-paths", "2", "--d-list", "100000000"], "d_list"),
         "validate-too-few-paths": ("validate", ["--n-paths", "50"], "100 paths"),
         "brownian-nan-sigma2": ("mc-mean", ["--model", "brownian", "--model-param", "sigma2=nan"], "finite"),
         "gamma-nan-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=nan"], "finite"),

@@ -8,7 +8,10 @@ import pytest
 
 from levykle.basis import KleBasis
 from levykle.models import (
+    PART_NEG,
+    PART_POS,
     ModelConditionError,
+    SplitModel,
     as_split,
     center,
     from_density,
@@ -35,7 +38,6 @@ class TestBrownian:
         assert bm.tail_pos is None
         assert bm.alpha == 2.5
         assert bm.mean_rate == 0.0
-        assert bm.is_centered
 
     def test_psi(self):
         bm = make_brownian(2.0)
@@ -132,7 +134,6 @@ class TestCentering:
     def test_center_zeroes_the_mean(self, factory):
         model = factory()
         c = center(model)
-        assert c.is_centered
         assert c.mean_rate == pytest.approx(0.0, abs=1e-14)
         assert c.triple.a == pytest.approx(model.triple.a - model.jump_mean, rel=1e-14)
         # Centering shifts the exponent by i z mu.
@@ -179,7 +180,29 @@ class TestVarianceGamma:
         assert vg.psi(0.0) == 0
 
     def test_centered_parts_have_zero_mean(self, vg):
-        assert center(vg.pos).is_centered and center(vg.neg).is_centered
+        for part in (vg.pos, vg.neg):
+            assert center(part).mean_rate == pytest.approx(0.0, abs=1e-14)
+
+
+class TestSplitParts:
+    def test_variance_gamma_has_both_signed_parts(self, vg):
+        assert (PART_POS, PART_NEG) == (0, 1)
+        assert vg.parts == ((PART_POS, 1.0, vg.pos), (PART_NEG, -1.0, vg.neg))
+
+    def test_one_sided_and_jump_free_models(self):
+        g = as_split(make_gamma(1.0, 1.0))
+        assert g.parts == ((PART_POS, 1.0, g.pos),)
+        assert as_split(make_brownian(1.0)).parts == ()
+
+    def test_negative_part_alone_enters_with_its_sign(self):
+        neg = SplitModel(name="neg", pos=None, neg=make_gamma(1.0, 2.0))
+        assert neg.parts == ((PART_NEG, -1.0, neg.neg),)
+        assert neg.mean_rate == -0.5
+        assert neg.alpha == 0.25
+        assert neg.psi_uncentered(0.3) == neg.neg.psi(-0.3)
+
+    def test_parts_are_cached(self, vg):
+        assert vg.parts is vg.parts
 
 
 class TestFromDensity:

@@ -53,7 +53,7 @@ class TestCoeffCharExponent:
         bm = make_brownian(1.0)
         basis = KleBasis(T=1.0, d=4, alpha=1.0)
         z = np.array([1.0, 0.0, 0.0, 0.0])
-        val = coeff_char_exponent(bm, basis, z)
+        val = coeff_char_exponent(as_split(bm), basis, z)
         assert val.imag == pytest.approx(0.0, abs=1e-14)
         assert val.real == pytest.approx(BM_EXPONENT_E1, rel=1e-10)
 
@@ -84,7 +84,7 @@ class TestEmpiricalCf:
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(200000, 3)) * np.sqrt(basis.eigenvalues())
         z = np.array([0.8, -0.5, 0.3])
-        target = np.exp(-coeff_char_exponent(bm, basis, z))
+        target = np.exp(-coeff_char_exponent(as_split(bm), basis, z))
         assert abs(np.exp(1j * (Z @ z)).mean() - target) < 4.0 / math.sqrt(200000)
 
 
@@ -276,7 +276,7 @@ class TestMixedFourthCumulant:
     def test_gaussian_has_no_jump_cumulant(self):
         bm = make_brownian(1.0)
         basis = KleBasis(T=1.0, d=3, alpha=1.0)
-        assert mixed_fourth_cumulant(bm, basis, 1, 2) == 0.0
+        assert mixed_fourth_cumulant(as_split(bm), basis, 1, 2) == 0.0
 
     def test_equal_indices_rejected(self, vg):
         basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
@@ -299,7 +299,7 @@ class TestMixedFourthCumulant:
         cj = math.sqrt(2.0 * T) / (math.pi * 0.5)
         ck = math.sqrt(2.0 * T) / (math.pi * 1.5)
         want = (cj * ck) ** 2 * (6.0 * c / rho**4) * (T / 4.0)
-        got = mixed_fourth_cumulant(g, basis, 1, 2)
+        got = mixed_fourth_cumulant(as_split(g), basis, 1, 2)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_variance_gamma_frozen_value(self, vg):

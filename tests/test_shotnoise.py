@@ -145,6 +145,9 @@ class TestStreamDerivation:
         basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
         with pytest.raises(ValueError):
             ShotConfig(seed=-1)
+        for cutoff in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma_cutoff"):
+                ShotConfig(seed=1, gamma_cutoff=cutoff)
         with pytest.raises(ValueError):
             sample_coeffs(vg, basis, ShotConfig(seed=1), sample_index=-1)
         with pytest.raises(ValueError):

@@ -86,7 +86,7 @@ class TestInverseTable:
         assert len(e1_table.breakpoints) == 200_000
         assert e1_table.domain_lo == 6.226e-22
         assert e1_table.domain_hi == 45.47
-        assert e1_table.max_gap <= 0.00231
+        assert np.diff(e1_table.breakpoints).max() <= 0.00231
 
     def test_reference_inversions(self, e1_table):
         assert e1_table(2.0) == pytest.approx(E1_INV_AT_TWO, rel=1e-12)
@@ -135,15 +135,26 @@ class TestInverseTable:
         assert err.max() <= 1e-8
 
     def test_table_validates_monotonicity(self):
-        with pytest.raises(ValueError):
+        # Four points, so that the size check does not fire first.
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
             MonotoneInverseTable(
-                breakpoints=np.array([0.1, 0.3, 0.2]),
-                values=np.array([3.0, 2.0, 1.0]),
-                domain_lo=0.1, domain_hi=0.3,
+                breakpoints=np.array([0.1, 0.3, 0.2, 0.4]),
+                values=np.array([4.0, 3.0, 2.0, 1.0]),
                 forward=exp_integral_e1,
                 forward_derivative=lambda x: -math.exp(-x) / x,
-                spacing_bound=1.0,
             )
+        with pytest.raises(ValueError, match="values must be strictly decreasing"):
+            MonotoneInverseTable(breakpoints=np.array([0.1, 0.2, 0.3, 0.4]),
+                                 values=np.array([4.0, 3.0, 3.0, 1.0]))
+
+    def test_domain_is_the_breakpoints(self):
+        table = MonotoneInverseTable(breakpoints=np.array([0.1, 0.2, 0.3, 0.5]),
+                                     values=np.array([4.0, 3.0, 2.0, 1.0]))
+        assert (table.domain_lo, table.domain_hi) == (0.1, 0.5)
+        assert table(0.1) == 4.0 and table(0.5) == pytest.approx(1.0, rel=1e-15)
+        assert table(0.05) == 0.0 and table(0.7) == 1.0
+        with pytest.raises(AttributeError):
+            table.domain_lo = 0.0
 
     def test_default_table_is_cached(self):
         assert default_e1_inverse() is default_e1_inverse()
