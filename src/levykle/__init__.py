@@ -1,15 +1,15 @@
 """Truncated Karhunen-Loeve expansions of square-integrable Levy processes.
 
-The package splits into small layers: ``special`` (exponential integral and
-its tabulated inverse), ``models`` (h0 drifts, tail integrals, the stock
-processes and the composite ``SplitModel``, whose ``parts`` list its signed
-jump parts), ``basis`` (the closed-form sine eigenbasis, path
-reconstruction, and the exactly reduced anchor angles and rotation ladders
-shared by both directions of the expansion), ``shotnoise`` (series samplers
-for the coefficient vector), ``oracles`` (independent references on a
-``SplitModel``: quadrature exponents, the batched direct series, the series
-centering and brute-force integration), ``validation`` (statistical suites
-against them) and ``cli``.
+The package splits into small layers: ``special`` (exponential integral, its
+inverse in closed form or by table, and quadrature), ``models`` (h0 drifts,
+tail integrals, the stock processes and the composite ``SplitModel``, whose
+``parts`` list its signed jump parts), ``basis`` (the closed-form sine
+eigenbasis, path reconstruction, and the exactly reduced anchor angles and
+rotation ladders shared by both directions of the expansion), ``shotnoise``
+(series samplers for the coefficient vector), ``oracles`` (independent
+references on a ``SplitModel``: quadrature exponents, the batched direct
+series, the series centering and brute-force integration), ``validation``
+(statistical suites against them) and ``cli``.
 """
 
 from .basis import KleBasis, reconstruct, variance_capture
@@ -51,6 +51,7 @@ from .special import (
     QuadratureError,
     build_e1_inverse,
     default_e1_inverse,
+    e1_inverse,
     exp_integral_e1,
     quad,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "default_e1_inverse",
     "derive_rng",
     "direct_series_subordinator",
+    "e1_inverse",
     "exp_integral_e1",
     "extend_dimension",
     "from_density",

@@ -183,14 +183,15 @@ class KleBasis:
         return blocks.reshape(n_blocks * _BLOCK, len(u)).T[:, :self.d]
 
     def u_vector(self, t) -> np.ndarray:
-        """The vector (u_1(t), ..., u_d(t)) at one time t in [0, T].
+        """The vector (u_1(t), ..., u_d(t)) at a time t in [0, T], shape (d,),
+        or one such row per time of an array t, shape (*t.shape, d).
 
         u_k(t) = int_t^T e_k(s) ds = sqrt(2T) cos(pi (k - 1/2) t / T) / (pi (k - 1/2)).
         """
         tt = self._check_time(t)
         return (
             math.sqrt(2.0 * self.T)
-            * np.cos(math.pi * self.k_half * tt / self.T)
+            * np.cos(math.pi * self.k_half * tt[..., None] / self.T)
             / (math.pi * self.k_half)
         )
 

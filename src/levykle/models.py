@@ -32,6 +32,7 @@ from .special import (
     MonotoneInverseTable,
     QuadratureError,
     default_e1_inverse,
+    e1_inverse,
     exp_integral_e1,
     quad,
 )
@@ -198,14 +199,14 @@ def make_brownian(sigma2: float) -> LevyModel:
 def make_gamma(c: float, rho: float) -> LevyModel:
     """Gamma subordinator with Levy density pi(x) = c exp(-rho x) / x on (0, inf).
 
-    The tail integral is g(x) = c E1(rho x) with inverse driven by the shared
-    E1 lookup table; g(0) = inf, the jump mean is m = c / rho, the
-    uncentered exponent is psi(z) = c log(1 - iz/rho), and alpha = c / rho^2.
+    The tail integral is g(x) = c E1(rho x) with inverse
+    g^{-1}(y) = ``e1_inverse(y / c) / rho``; g(0) = inf, the jump mean is
+    m = c / rho, the uncentered exponent is psi(z) = c log(1 - iz/rho), and
+    alpha = c / rho^2.
     """
     if not (0.0 < c < math.inf and 0.0 < rho < math.inf):
         raise ValueError(f"c and rho must be positive and finite, got c={c!r}, rho={rho!r}")
     c, rho = float(c), float(rho)
-    table = default_e1_inverse()
 
     def density(x, _c=c, _r=rho):
         return _c * np.exp(-_r * np.asarray(x)) / np.asarray(x)
@@ -213,10 +214,10 @@ def make_gamma(c: float, rho: float) -> LevyModel:
     def g(x, _c=c, _r=rho):
         return _c * exp_integral_e1(_r * np.asarray(x))
 
-    def g_inv(y, _c=c, _r=rho, _t=table):
-        return _t(np.asarray(y) / _c) / _r
+    def g_inv(y, _c=c, _r=rho):
+        return e1_inverse(np.asarray(y) / _c) / _r
 
-    lo_cut = c * table.domain_lo
+    lo_cut = c * default_e1_inverse().domain_lo
 
     def inverse_integral(Y, _c=c, _r=rho, _gi=g_inv, _lo=lo_cut):
         if Y <= _lo:

@@ -13,10 +13,15 @@ This module provides the numerical kernel shared by the rest of the package:
   cubic is evaluated by Horner's rule on per-interval coefficients. Both are
   derived from the table at construction: the default E1 table gets 487705
   cells and one pass, and holds 6.8 MB beside its 3.2 MB of points.
-* ``build_e1_inverse`` -- the table for the inverse of ``E1``, the workhorse
-  behind jump-size generation for gamma-type tail integrals.
+* ``build_e1_inverse`` -- the table for the inverse of ``E1``.
+* ``e1_inverse`` -- the inverse of ``E1``, the workhorse behind jump-size
+  generation for gamma-type tail integrals: the closed form
+  ``x0 (1 + x0)``, ``x0 = exp(-gamma_E - y)``, for ``y >= 20`` (about 56% of
+  a gamma sampler's arguments, which are uniform on ``(0, 45.47]``), and the
+  default table below that.
 * ``quad`` -- adaptive quadrature with componentwise complex support, used by
-  every oracle.
+  the oracles, and ``quad_vector``, one adaptive quadrature of a whole
+  vector of integrands, used by the characteristic-exponent oracle.
 
 All objects here are pure after construction; tables are immutable and may be
 shared freely across threads or processes.
@@ -40,7 +45,9 @@ __all__ = [
     "exp_integral_e1",
     "build_e1_inverse",
     "default_e1_inverse",
+    "e1_inverse",
     "quad",
+    "quad_vector",
 ]
 
 # Defaults for the E1 inverse table: y-domain endpoints and point count of
@@ -48,6 +55,13 @@ __all__ = [
 E1_TABLE_DOMAIN = (6.226e-22, 45.47)
 E1_TABLE_POINTS = 200_000
 E1_TABLE_SPACING_BOUND = 0.00231
+
+# From this argument on, ``e1_inverse`` is the closed form x0 (1 + x0) with
+# x0 = exp(-gamma_E - y). E1(x) = -gamma_E - ln x + x - x^2/4 + ..., so the
+# exact inverse is x0 (1 + x0 + 1.25 x0^2 + ...): at y >= 20, x0 <= 1.16e-9
+# and the neglected relative term 1.25 x0^2 stays below 2e-18, far under
+# the rounding of y itself (dx / x = -dy).
+E1_SERIES_FROM = 20.0
 
 # Inverse tables interpolate by the cubic through 4 neighbouring points.
 _STENCIL = 4
@@ -387,6 +401,33 @@ def default_e1_inverse() -> MonotoneInverseTable:
     return build_e1_inverse()
 
 
+def e1_inverse(y):
+    """The ``x`` with ``E1(x) = y``, for a float or an array of them.
+
+    Arguments from ``E1_SERIES_FROM`` (20) to the default table's
+    ``domain_hi`` (45.47) take the closed form ``x0 (1 + x0)``,
+    ``x0 = exp(-gamma_E - y)``; the rest go to ``default_e1_inverse()``, so
+    the table's contract holds: NaN raises ``ValueError``, ``y > domain_hi``
+    gives the table's last value and ``y < domain_lo`` gives 0. A float in
+    gives a float out. Each element's value depends on that element alone,
+    not on the others in the array. Against the table on ``[20, 45.47]`` the
+    largest relative difference is 8.9e-15, and ``|E1(x) - y|`` stays below
+    1.02 y eps (the table's Newton polish reaches 1.01 y eps).
+    """
+    table = default_e1_inverse()
+    arr = np.asarray(y, dtype=float)
+    flat = np.atleast_1d(arr)
+    series = (flat >= E1_SERIES_FROM) & (flat <= table.domain_hi)
+    # Integer gathers and scatters: the branches interleave at random in a
+    # sampler's arguments, where boolean indexing takes several times longer.
+    far, near = np.flatnonzero(series), np.flatnonzero(~series)
+    out = np.empty(flat.shape)
+    out.put(near, table(flat.take(near)))
+    x0 = np.exp(-np.euler_gamma - flat.take(far))
+    out.put(far, x0 * (1.0 + x0))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def _quad_real(f, a, b, rtol, atol):
     val, err, info, *rest = scipy.integrate.quad(
         f, a, b, epsabs=atol, epsrel=rtol, limit=_QUAD_LIMIT, full_output=1
@@ -417,4 +458,23 @@ def quad(
         im, _ = _quad_real(lambda t: f(t).imag, a, b, rtol, atol)
         return complex(re, im)
     val, _ = _quad_real(f, a, b, rtol, atol)
+    return val
+
+
+def quad_vector(f: Callable, a: float, b: float, rtol: float):
+    """Adaptive quadrature of a vector-valued ``f`` on the finite ``[a, b]``.
+
+    One ``scipy.integrate.quad_vec`` (Gauss-Kronrod 21) over every component
+    at once, with the subinterval limit and the default absolute floor
+    (1e-12) of ``quad``: it stops once the error estimate is below an eighth
+    of ``max(1e-12, rtol |I|)``, with ``|I|`` the 2-norm of the integral
+    vector. Real or complex arrays are integrated as they come. On failure a
+    :class:`QuadratureError` is raised carrying the best estimate and the
+    error bound.
+    """
+    val, err, info = scipy.integrate.quad_vec(
+        f, a, b, epsabs=1e-12, epsrel=rtol, limit=_QUAD_LIMIT, full_output=True
+    )
+    if not info.success:
+        raise QuadratureError(info.message, estimate=val, error_bound=err)
     return val

@@ -108,6 +108,17 @@ class TestIntegratedBasis:
                 direct = quad(lambda s: _e(b, k, s), t, 1.5)
                 assert b.u_vector(t)[k - 1] == pytest.approx(direct, abs=1e-12)
 
+    def test_u_rows_for_an_array_of_times(self):
+        b = KleBasis(T=1.5, d=70, alpha=1.0)
+        ts = np.array([0.0, 0.4, 1.1, 1.5])
+        rows = b.u_vector(ts)
+        assert rows.shape == (4, 70)
+        for t, row in zip(ts, rows):
+            assert np.array_equal(row, b.u_vector(float(t)))
+        assert b.u_vector(ts.reshape(2, 2)).shape == (2, 2, 70)
+        with pytest.raises(ValueError):
+            b.u_vector(np.array([0.5, 1.6]))
+
     def test_u_vanishes_at_horizon(self, unit_basis):
         assert np.max(np.abs(unit_basis.u_vector(1.0))) < 1e-15
 

@@ -14,6 +14,7 @@ from levykle.basis import KleBasis
 from levykle.models import (
     as_split,
     center,
+    from_density,
     make_brownian,
     make_cp_exponential,
     make_gamma,
@@ -71,8 +72,28 @@ class TestCoeffCharExponent:
 
     def test_dimension_mismatch_rejected(self, vg):
         basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
-        with pytest.raises(ValueError):
-            coeff_char_exponent(vg, basis, np.zeros(4))
+        for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)), 0.0):
+            with pytest.raises(ValueError):
+                coeff_char_exponent(vg, basis, bad)
+
+    @pytest.mark.parametrize("name", ["vg", "gamma", "cp", "brownian", "density"])
+    def test_stacked_points_match_one_at_a_time(self, vg, name):
+        # One vector quadrature stops on the 2-norm of all the exponents, so
+        # each row agrees with its own quadrature to the tolerance's scale.
+        model = {
+            "vg": vg,
+            "gamma": as_split(make_gamma(10.0, 1.0)),
+            "cp": as_split(make_cp_exponential(rate=3.0, rho=1.5)),
+            "brownian": as_split(make_brownian(1.0)),
+            "density": as_split(from_density("stable-like", lambda x: math.exp(-x) * x**-1.5)),
+        }[name]
+        basis = KleBasis(T=1.0, d=3, alpha=model.alpha)
+        grid = np.array([[0.5, -0.5, 0.0], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.5], [0.5, 0.5, 0.5]])
+        stacked = coeff_char_exponent(model, basis, grid)
+        rows = np.array([coeff_char_exponent(model, basis, z) for z in grid])
+        assert stacked.shape == (4,) and stacked.dtype == complex
+        assert stacked[1] == 0.0
+        assert np.max(np.abs(stacked - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
 class TestEmpiricalCf:

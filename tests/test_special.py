@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from levykle.models import from_density
 from levykle.special import (
+    E1_SERIES_FROM,
     MonotoneInverseTable,
     QuadratureError,
     build_e1_inverse,
     default_e1_inverse,
+    e1_inverse,
     exp_integral_e1,
     quad,
+    quad_vector,
 )
 
 # Reference values computed with mpmath at 50 significant digits.
@@ -160,6 +163,66 @@ class TestInverseTable:
         assert default_e1_inverse() is default_e1_inverse()
 
 
+class TestE1Inverse:
+    """The closed form from y = 20 and the table below it."""
+
+    @staticmethod
+    def _series_grid(e1_table):
+        below = np.nextafter(E1_SERIES_FROM, 0.0)
+        above = np.nextafter(E1_SERIES_FROM, np.inf)
+        grid = np.linspace(E1_SERIES_FROM, e1_table.domain_hi, 20001)
+        return np.concatenate([[below, E1_SERIES_FROM, above], grid])
+
+    def test_agrees_with_table_past_branch_point(self, e1_table):
+        ys = self._series_grid(e1_table)
+        ref = e1_table(ys)
+        assert np.max(np.abs(e1_inverse(ys) - ref) / ref) <= 1e-14
+
+    def test_branch_point_neighbours(self, e1_table):
+        below = np.nextafter(E1_SERIES_FROM, 0.0)
+        # Below 20 the table answers; from 20 on the closed form does.
+        assert e1_inverse(below) == e1_table(below)
+        for y in (E1_SERIES_FROM, np.nextafter(E1_SERIES_FROM, np.inf)):
+            x0 = math.exp(-np.euler_gamma - y)
+            assert e1_inverse(y) == pytest.approx(x0 * (1.0 + x0), rel=1e-15)
+        assert e1_inverse(below) > e1_inverse(E1_SERIES_FROM)
+
+    def test_below_branch_point_is_the_table(self, e1_table):
+        bp = e1_table.breakpoints[::997]
+        ys = np.concatenate([bp[bp < E1_SERIES_FROM], [1e-30, 0.0, 19.999]])
+        assert np.array_equal(e1_inverse(ys), e1_table(ys))
+
+    def test_residual_within_a_few_rounding_errors(self, e1_table):
+        ys = self._series_grid(e1_table)[1:]
+        resid = np.abs(exp_integral_e1(e1_inverse(ys)) - ys)
+        assert np.max(resid / (ys * np.finfo(float).eps)) <= 1.1
+
+    def test_table_contract(self, e1_table):
+        assert e1_inverse(1e3) == e1_table.values[-1]
+        assert e1_inverse(math.inf) == e1_table.values[-1]
+        assert e1_inverse(1e-30) == 0.0 and e1_inverse(-1.0) == 0.0
+        for bad in (math.nan, np.array([30.0, math.nan, 2.0])):
+            with pytest.raises(ValueError):
+                e1_inverse(bad)
+        for y in (30.0, 2.0, 1e3, 1e-30):
+            assert type(e1_inverse(y)) is float
+        assert e1_inverse(np.full((2, 3), 30.0)).shape == (2, 3)
+
+    def test_element_bits_do_not_depend_on_the_array(self, e1_table):
+        # np.exp and the table run on the gathered subsets of each branch,
+        # whose lengths and positions change with the other elements.
+        rng = np.random.default_rng(15)
+        ys = np.concatenate([rng.uniform(0.0, 46.0, 997), self._series_grid(e1_table)[:3],
+                             [1e-30, 45.47, 1e3]])
+        together = e1_inverse(ys).view(np.int64)
+        alone = np.array([e1_inverse(float(y)) for y in ys]).view(np.int64)
+        assert np.array_equal(together, alone)
+        shuffled = rng.permutation(len(ys))
+        assert np.array_equal(e1_inverse(ys[shuffled]).view(np.int64), together[shuffled])
+        assert np.array_equal(e1_inverse(ys[ys >= E1_SERIES_FROM]).view(np.int64),
+                              together[ys >= E1_SERIES_FROM])
+
+
 def _density_table(density):
     """The log-log inverse table that ``from_density`` binds into ``g_inv``."""
     g_inv = from_density("indexed", density).tail_pos.g_inv
@@ -252,3 +315,17 @@ class TestQuad:
     def test_divergent_raises(self):
         with pytest.raises(QuadratureError):
             quad(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+class TestQuadVector:
+    def test_components_match_scalar_quadrature(self):
+        ks = np.arange(1.0, 6.0)
+        got = quad_vector(lambda t: np.exp(1j * ks * t) / (1.0 + t), 0.0, 2.0, rtol=1e-10)
+        for k, val in zip(ks, got):
+            want = quad(lambda t: np.exp(1j * k * t) / (1.0 + t), 0.0, 2.0)
+            assert abs(val - want) <= 1e-10 * np.linalg.norm(got)
+
+    def test_divergent_raises(self):
+        with pytest.raises(QuadratureError) as err:
+            quad_vector(lambda x: np.array([1.0, 2.0]) / x, 0.0, 1.0, rtol=1e-10)
+        assert err.value.estimate is not None

@@ -17,7 +17,8 @@ from levykle.models import (
 )
 from levykle.oracles import direct_series_subordinator
 from levykle.shotnoise import ShotConfig, sample_coeffs_batch
-from levykle.validation import dependence_suite, run_validation
+from levykle.special import E1_SERIES_FROM
+from levykle.validation import _roundtrip_tail, dependence_suite, run_validation
 
 
 def _failures(report):
@@ -120,3 +121,50 @@ class TestDependenceSuite:
         checks = {c["name"]: c for c in dependence_suite(vg, basis, Z)}
         assert not checks["dependence.squared_covariance"]["passed"]
         assert not checks["dependence.positive"]["passed"]
+
+
+def _roundtrip_one_at_a_time(tail):
+    """The roundtrip statistic with one scalar call per probe: the reference
+    for the three array calls of ``_roundtrip_tail``."""
+    worst, n_valid = 0.0, 0
+    for x in np.logspace(-15.0, 3.0, 181):
+        y = float(tail.g(x))
+        if not (0.0 < y < tail.g0 * (1.0 - 1e-12) if math.isfinite(tail.g0) else 0.0 < y):
+            continue
+        xr = float(tail.g_inv(y))
+        if xr <= 0.0:
+            continue
+        if abs(float(tail.g(xr)) - y) > 1e-6 * y:
+            continue
+        n_valid += 1
+        worst = max(worst, abs(xr - x) / max(1.0, x))
+    return worst, n_valid
+
+
+class TestRoundtripSuite:
+    @pytest.mark.parametrize("make", [
+        lambda: make_gamma(1.0, 1.0),
+        lambda: make_gamma(10.0, 2.0),
+        lambda: make_cp_exponential(3.0, 1.5),
+        lambda: from_density("s15", lambda x: math.exp(-x) * x**-1.5),
+        lambda: from_density("exp2", lambda x: 2.0 * math.exp(-x)),
+    ])
+    def test_array_calls_match_one_at_a_time(self, make):
+        tail = make().tail_pos
+        check = _roundtrip_tail("pos", tail)
+        worst, n_valid = _roundtrip_one_at_a_time(tail)
+        assert check["statistic"] == worst
+        assert check["detail"] == f"{n_valid} probe points inside the invertible range"
+        assert check["passed"]
+
+    def test_gamma_probes_reach_both_e1_branches(self):
+        # g(x) = E1(x) for gamma(1, 1): probes x <= 1.16e-9 invert by the
+        # closed form (y >= 20), the rest by the table; 167 of the 181 count,
+        # those above x = 45 falling below the table's domain.
+        tail = make_gamma(1.0, 1.0).tail_pos
+        xs = np.logspace(-15.0, 3.0, 181)
+        ys = tail.g(xs)
+        series = ys >= E1_SERIES_FROM
+        assert np.array_equal(series, xs <= 1.16e-9)
+        assert 0 < np.count_nonzero(series) < np.count_nonzero(ys > 0.0)
+        assert _roundtrip_tail("pos", tail)["detail"].startswith("167 ")
