@@ -102,9 +102,16 @@ class ExperimentConfig:
 
 def _integer(name: str, value) -> int:
     """``value`` as an int if it is an integer or an integral float; nothing is parsed or truncated."""
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+    if not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _typed(name: str, value, types, what: str):
+    """``value`` if it is an instance of ``types`` and not a boolean; nothing is parsed."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
@@ -152,9 +159,10 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     try:
         cfg = replace(
             cfg,
-            T=float(cfg.T), gamma_cutoff=float(cfg.gamma_cutoff), mode=str(cfg.mode),
-            output_dir=str(cfg.output_dir), prefix=str(cfg.prefix),
-            d_list=tuple(_integer("d_list", d) for d in cfg.d_list),
+            T=float(_typed("T", cfg.T, (int, float), "a number")),
+            gamma_cutoff=float(_typed("gamma_cutoff", cfg.gamma_cutoff, (int, float), "a number")),
+            **{name: _typed(name, getattr(cfg, name), str, "a string") for name in ("mode", "output_dir", "prefix")},
+            d_list=tuple(_integer("d_list", d) for d in _typed("d_list", cfg.d_list, (list, tuple), "a list")),
             **{name: _integer(name, getattr(cfg, name)) for name in ("n_paths", "grid_n", "seed", "workers")},
         )
     except (TypeError, ValueError) as exc:

@@ -494,14 +494,19 @@ def model_from_config(cfg: dict) -> SplitModel:
     Recognized values of ``cfg["model"]``: ``brownian`` (``sigma2``),
     ``gamma`` (``c``, ``rho``), ``cp_exponential`` (``rate``, ``rho``) and
     ``variance_gamma`` (``c_pos``, ``rho_pos``, ``c_neg``, ``rho_neg``).
-    Omitted parameters take their defaults; any other key is an error.
+    Omitted parameters take their defaults; any other key is an error, and so
+    is a parameter that is not a number (a boolean or a string).
     """
     kind = cfg.get("model")
-    if kind not in _CONFIG_KINDS:
+    if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     build, defaults = _CONFIG_KINDS[kind]
     unknown = sorted(set(cfg) - {"model"} - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters {unknown} for model {kind!r}; "
                          f"known: {sorted(defaults)}")
-    return build(**{name: float(cfg.get(name, default)) for name, default in defaults.items()})
+    params = {name: cfg.get(name, default) for name, default in defaults.items()}
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"model parameter {name} must be a number, got {value!r}")
+    return build(**{name: float(value) for name, value in params.items()})

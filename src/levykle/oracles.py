@@ -6,8 +6,11 @@ are obtained by adaptive quadrature of the model's closed-form exponent (one
 vector quadrature for a whole grid of points),
 subordinator marginals come from the direct series representation, the
 series centering of a part comes from the radial integral of its jump sizes,
-and finite-activity coefficients are integrated piecewise-exactly from the
-jump times of a simulated path using antiderivatives written out locally.
+finite-activity coefficients are integrated piecewise-exactly from the
+jump times of a simulated path using antiderivatives written out locally,
+and the mixed fourth cumulant is closed form: the Levy measure of Z is the
+image of nu(dx) dt under (x, t) -> x u(t), so the cumulant is int x^4 nu(dx)
+times int_0^T u_j^2 u_k^2 dt, which is exactly c_j^2 c_k^2 T / 4.
 The only ingredients shared with the samplers are the tail inverse g^{-1},
 which is pinned separately by roundtrip tests, and the arrival streams.
 
@@ -40,12 +43,6 @@ __all__ = [
     "mixed_fourth_cumulant",
 ]
 
-# Relative tolerances of the quadrature oracles: the characteristic exponent,
-# and the outer (time) integral of the mixed fourth cumulant, whose inner
-# (jump size) integrals run at a tenth of it.
-_EXPONENT_RTOL = 1e-10
-_CUMULANT_RTOL = 1e-8
-
 
 def coeff_char_exponent(model: SplitModel, basis: KleBasis, z):
     """Characteristic exponent of the coefficient vector at a point z, or at
@@ -67,7 +64,7 @@ def coeff_char_exponent(model: SplitModel, basis: KleBasis, z):
     def integrand(t):
         return psi(rows @ basis.u_vector(t))
 
-    values = quad_vector(integrand, 0.0, basis.T, rtol=_EXPONENT_RTOL)
+    values = quad_vector(integrand, 0.0, basis.T, rtol=1e-10)
     return complex(values[0]) if zz.ndim == 1 else values
 
 
@@ -132,15 +129,14 @@ def centering_vector(tail: TailIntegral, basis: KleBasis, level: float) -> np.nd
     )
 
 
-def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream, grid_n: int = 0) -> np.ndarray:
+def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream) -> np.ndarray:
     """Coefficients of a centered finite-activity path by direct integration.
 
     Builds the jump times and sizes of one path of the subordinator from the
     stream, centers the path by its mean rate m t, and integrates it against
-    each basis function: exactly per piece when ``grid_n`` is 0 (the path is
-    constant between jumps, so antiderivatives of sin suffice), or by
-    trapezoidal quadrature on a ``grid_n``-point grid otherwise. The
-    stream's level must reach T g(0).
+    each basis function exactly per piece: the path is constant between
+    jumps, so antiderivatives of sin suffice. The stream's level must reach
+    T g(0).
     """
     tail = model.tail_pos
     if tail is None or not math.isfinite(tail.g0):
@@ -152,11 +148,6 @@ def brute_force_coeffs(model: LevyModel, basis: KleBasis, stream: ArrivalStream,
     m = model.jump_mean
     omega = math.pi * (np.arange(1, basis.d + 1) - 0.5) / T
     root = math.sqrt(2.0 / T)
-    if grid_n > 0:
-        tg = np.linspace(0.0, T, grid_n)
-        path = (sizes[None, :] * (times[None, :] <= tg[:, None])).sum(axis=1) - m * tg
-        emat = root * np.sin(np.outer(tg, omega))
-        return np.trapezoid(path[:, None] * emat, tg, axis=0)
     # One jump of size x at time s contributes x * int_s^T e_k dt; the
     # centering -m t contributes -m int_0^T t e_k(t) dt. Both integrals come
     # from the antiderivatives of sin and t sin.
@@ -185,32 +176,25 @@ def ks_two_sample(a, b) -> KsResult:
 
 
 def mixed_fourth_cumulant(model: SplitModel, basis: KleBasis, j: int, k: int) -> float:
-    """Mixed fourth cumulant int_0^T int f_j(x,t)^2 f_k(x,t)^2 pi(x) dx dt.
+    """Mixed fourth cumulant mu_4 c_j^2 c_k^2 T / 4 of Z_j and Z_k, j != k.
 
-    Equals Cov(Z_j^2, Z_k^2) for a centered pure-jump model, so a strictly
-    positive value certifies dependence of the (uncorrelated) coefficients.
-    Evaluated by nested quadrature; jumps on either side contribute through
-    the even powers, so sign-reflected parts simply add. Returns 0 for a
-    jump-free model.
+    The Levy measure of Z is the image of nu(dx) dt under (x, t) -> x u(t),
+    so the cumulant is mu_4 int_0^T u_j^2 u_k^2 dt, with mu_4 = int x^4 nu(dx)
+    summed over the jump parts (an even power: a sign-reflected part adds)
+    from one quadrature each. u_k = c_k cos(w_k t), c_k = sqrt(2T) / (pi (k - 1/2)),
+    w_k = pi (k - 1/2) / T, and cos^2(w_j t) cos^2(w_k t) is 1/4 plus cosines
+    whose frequencies times T are nonzero multiples of pi, so the time
+    integral is exactly c_j^2 c_k^2 T / 4. Equals Cov(Z_j^2, Z_k^2): with
+    jumps it is strictly positive, which certifies dependence of the
+    uncorrelated coefficients. Returns 0 for a jump-free model.
     """
     if j == k:
         raise ValueError("mixed cumulant requires two distinct indices")
-    densities = [part.tail_pos.density for _, _, part in model.parts]
-    if not densities:
+    if not model.parts:
         return 0.0
+    mu4 = sum(quad(lambda x, dens=part.tail_pos.density: x**4 * dens(x), 0.0, math.inf)
+              for _, _, part in model.parts)
     T = basis.T
-    wj = math.pi * (j - 0.5) / T
-    wk = math.pi * (k - 0.5) / T
     cj = math.sqrt(2.0 * T) / (math.pi * (j - 0.5))
     ck = math.sqrt(2.0 * T) / (math.pi * (k - 0.5))
-
-    def inner(t):
-        fj = cj * math.cos(wj * t)
-        fk = ck * math.cos(wk * t)
-        total = 0.0
-        for dens in densities:
-            total += quad(lambda x: (x * fj) ** 2 * (x * fk) ** 2 * dens(x), 0.0, math.inf,
-                          rtol=0.1 * _CUMULANT_RTOL)
-        return total
-
-    return quad(inner, 0.0, T, rtol=_CUMULANT_RTOL)
+    return mu4 * (cj * ck) ** 2 * T / 4.0

@@ -2,9 +2,11 @@
 
 Each suite returns a list of JSON-ready check records with the fields
 ``name``, ``statistic``, ``tolerance``, ``passed`` and ``detail``, and
-``run_validation`` bundles them into a single report. Tolerances follow the
-usual Monte Carlo conventions: 4 standard errors for mean-style statistics,
-5 for variance-style ones, and a fixed significance level for the KS test.
+``run_validation`` bundles them into a single report. The gates: 4 standard
+errors (SE) for means, variances, pairwise correlations, the zero-jump atom
+mass and ``dependence.positive``; 4/sqrt(N) for the characteristic function;
+5 SE for Cov(Z_1^2, Z_2^2) against its oracle and for ``dependence.null``;
+level 0.01 for the KS test; relative 1e-8 for the tail roundtrips.
 """
 
 from __future__ import annotations

@@ -126,12 +126,16 @@ class TestConfig:
         assert not list(tmp_path.iterdir())
 
     def test_non_integral_json_values_rejected(self, tmp_path, capsys):
-        # A JSON value for an integer field must not be truncated or parsed
-        # ("25" is not the dimensions 2 and 5).
+        # A JSON value must have its field's type, and is not truncated or
+        # parsed ("25" is not the dimensions 2 and 5, true is not the seed 1,
+        # null is not the directory "None").
         for field, value in (("n_paths", 2.7), ("d_list", [2.9]), ("grid_n", 3.5), ("seed", 1.5),
-                             ("workers", 1.5), ("n_paths", float("inf")), ("d_list", "25"), ("grid_n", "3")):
-            doc = {"n_paths": 2, "d_list": [2], "grid_n": 3, "seed": 1, field: value,
-                   "output_dir": str(tmp_path / "out")}
+                             ("workers", 1.5), ("n_paths", float("inf")), ("d_list", "25"), ("grid_n", "3"),
+                             ("seed", True), ("d_list", [True, 3]), ("T", True), ("T", "2.5"),
+                             ("gamma_cutoff", "45"), ("mode", 1), ("output_dir", None), ("prefix", None),
+                             ("model", {"model": "gamma", "c": True}), ("model", {"model": "gamma", "rho": "1"})):
+            doc = {"n_paths": 2, "d_list": [2], "grid_n": 3, "seed": 1, "output_dir": str(tmp_path / "out"),
+                   field: value}
             cfg_file = tmp_path / "exp.json"
             cfg_file.write_text(json.dumps(doc))
             assert main(["mc-mean", "--config", str(cfg_file)]) == 2

@@ -36,6 +36,7 @@ from levykle.shotnoise import (
     gamma_stop_level,
     sample_coeffs,
 )
+from levykle.special import quad
 
 # lambda_1 / 2 for unit-variance Brownian coefficients on [0, 1]
 BM_EXPONENT_E1 = 0.20264236728467554
@@ -213,9 +214,17 @@ class TestBruteForce:
             assert np.max(np.abs(ours - ref)) < 1e-12
 
     def test_grid_route_converges_to_exact(self):
+        # Reference: the centered path sampled on a fine grid and integrated
+        # against the basis by the trapezoid rule.
         stream = arrival_stream(9, 512)
         exact = brute_force_coeffs(self.cp, self.basis, stream)
-        coarse = brute_force_coeffs(self.cp, self.basis, stream, grid_n=20001)
+        T, tail = self.basis.T, self.cp.tail_pos
+        n = int(np.searchsorted(stream.gammas, T * tail.g0))
+        sizes = tail.g_inv(stream.gammas[:n] / T)
+        times = T * stream.uniforms[:n]
+        tg = np.linspace(0.0, T, 20001)
+        path = (sizes[None, :] * (times[None, :] <= tg[:, None])).sum(axis=1) - self.cp.jump_mean * tg
+        coarse = np.trapezoid(path[:, None] * self.basis.eigenfunction_matrix(tg), tg, axis=0)
         assert np.max(np.abs(exact - coarse)) < 5e-4
 
 
@@ -310,18 +319,26 @@ class TestMixedFourthCumulant:
         b = mixed_fourth_cumulant(vg, basis, 3, 1)
         assert a == pytest.approx(b, rel=1e-7)
 
-    def test_gamma_separable_closed_form(self):
-        # For one-sided jumps the double integral factors: the x-integral
-        # gives int x^4 pi = 6 c / rho^4 and the t-integral of
-        # cos^2(w_j t) cos^2(w_k t) over [0, T] is exactly T/4.
-        c, rho, T = 2.0, 3.0, 1.5
-        g = make_gamma(c, rho)
-        basis = KleBasis(T=T, d=3, alpha=g.alpha)
-        cj = math.sqrt(2.0 * T) / (math.pi * 0.5)
-        ck = math.sqrt(2.0 * T) / (math.pi * 1.5)
-        want = (cj * ck) ** 2 * (6.0 * c / rho**4) * (T / 4.0)
-        got = mixed_fourth_cumulant(as_split(g), basis, 1, 2)
-        assert got == pytest.approx(want, rel=1e-8)
+    def test_closed_form_matches_nested_quadrature(self, vg):
+        # Reference: the cumulant's defining double integral
+        # int_0^T int (x u_j(t))^2 (x u_k(t))^2 nu(dx) dt by nested quadrature.
+        def nested(model, basis, j, k):
+            def inner(t):
+                uj, uk = basis.u_vector(t)[[j - 1, k - 1]]
+                return sum(quad(lambda x, dens=part.tail_pos.density: (x * uj) ** 2 * (x * uk) ** 2 * dens(x),
+                                0.0, math.inf, rtol=1e-9) for _, _, part in model.parts)
+            return quad(inner, 0.0, basis.T, rtol=1e-8)
+
+        models = [vg, as_split(make_gamma(10.0, 1.0)), as_split(make_gamma(20.0, 1.0)),
+                  as_split(make_cp_exponential(2.0, 1.0)),
+                  as_split(from_density("stable_like", lambda x: math.exp(-x) * x**-1.5))]
+        for model in models:
+            for T in (1.0, 3.7):
+                basis = KleBasis(T=T, d=5, alpha=model.alpha)
+                for j, k in ((1, 2), (2, 5), (3, 1)):
+                    want = nested(model, basis, j, k)
+                    assert mixed_fourth_cumulant(model, basis, j, k) == pytest.approx(want, rel=1e-12), \
+                        (model.name, T, j, k)
 
     def test_variance_gamma_frozen_value(self, vg):
         basis = KleBasis(T=1.0, d=2, alpha=vg.alpha)
