@@ -92,18 +92,42 @@ def _rotations(start: np.ndarray | None, step: np.ndarray, n: int) -> tuple[np.n
         c[0], s[0] = 1.0, 0.0
     else:
         c[0], s[0] = np.cos(start), np.sin(start)
-    wc, ws = np.cos(step), np.sin(step)
-    b = 1
-    while b < n:
+    _ladder(c, s, _doubled_steps(np.cos(step), np.sin(step), n))
+    return c, s
+
+
+def _doubled_steps(wc: np.ndarray, ws: np.ndarray, n: int) -> list:
+    """The steps of a ladder of n rungs: cos and sin of w = b step for b = 1, 2, 4, ... < n.
+
+    Each w comes from squaring the previous one: cos(2w) = cos(w)^2 -
+    sin(w)^2, sin(2w) = 2 cos(w) sin(w).
+    """
+    steps = [(wc, ws)]
+    while 2 ** len(steps) < n:
+        wc, ws = wc * wc - ws * ws, 2.0 * (wc * ws)
+        steps.append((wc, ws))
+    return steps
+
+
+def _ladder(c: np.ndarray, s: np.ndarray, steps, filled: int = 1) -> None:
+    """Fill rungs ``filled`` .. n - 1 of the ladder ``c``, ``s`` (n, ...) in place, as ``_rotations`` does.
+
+    Rungs below ``filled`` (a power of 2) must be set; ``steps`` are the
+    ladder's ``_doubled_steps`` from b = ``filled`` on, each broadcasting
+    against one rung. The arrays may be views into a larger one; every
+    operation is elementwise, so the rungs' bits do not depend on it.
+    """
+    n = len(c)
+    b = filled
+    for wc, ws in steps:
+        if b >= n:
+            break
         k = min(b, n - b)
         np.multiply(c[:k], wc, out=c[b:b + k])
         c[b:b + k] -= s[:k] * ws
         np.multiply(c[:k], ws, out=s[b:b + k])
         s[b:b + k] += s[:k] * wc
         b *= 2
-        if b < n:
-            wc, ws = wc * wc - ws * ws, 2.0 * (wc * ws)
-    return c, s
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,12 @@ derived streams, paths are reconstructed by products of a fixed shape
 summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
-configuration error (a negative seed among them), 3 when a series needs
-more terms than ``max_terms`` allows (``TruncationCapError``; raised before
-any draw when the truncation level, the expected term count, already
-exceeds the cap).
+configuration error (a negative seed or a dimension above the basis bound
+among them), 3 on a resource limit: a series that needs more terms than
+``max_terms`` allows (``TruncationCapError``; raised before any draw when
+the truncation level, the expected term count, already exceeds the cap),
+or a run whose estimated peak memory exceeds the machine's physical memory
+(checked before sampling, see ``_check_memory``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from collections import deque
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
+from .basis import _BLOCK, _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
 from .models import SplitModel, model_from_config
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
@@ -46,6 +49,10 @@ _CHUNK = 512
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
+
+
+class _MemoryLimit(RuntimeError):
+    """A run estimated to need more than the physical memory (maps to exit code 3)."""
 
 
 @dataclass
@@ -183,6 +190,28 @@ def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
         fh.write(header + "\n" + "".join(row + "\n" for row in rows))
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_memory(d: int, grid_points: int, sample_rows: int) -> None:
+    """Raise ``_MemoryLimit`` when a run's estimated peak exceeds physical memory.
+
+    The estimate counts the two allocations that grow with d, in doubles:
+    the eigenfunction matrix, grid_points x 64 ceil(d / 64), and the
+    coefficient rows held at once, sample_rows x d. Everything else is far
+    smaller at any d where these fit.
+    """
+    need, have = 8 * (grid_points * _BLOCK * -(-d // _BLOCK) + sample_rows * d), _physical_memory()
+    if have is not None and need > have:
+        raise _MemoryLimit(f"d = {d} needs about {need / 2**30:.3g} GiB for the eigenfunction matrix and the "
+                           f"samples held at once, more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def _parallel_in_order(fn, tasks, workers: int):
     """Map ``fn`` over tasks, yielding results in task order regardless of
     scheduling, so downstream aggregation is worker-count independent.
@@ -214,6 +243,8 @@ def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, m
     chunk. The worker threads sample, reconstruct and reduce; at most
     ``workers + 1`` reduced chunks are held at once.
     """
+    # workers + 1 chunks are in flight at once; the check comes before any.
+    _check_memory(max(cfg.d_list), len(grid), (cfg.workers + 1) * min(_CHUNK, cfg.n_paths))
     shot = cfg.shot_config()
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
     basis_max = bases[max(cfg.d_list)]
@@ -305,6 +336,8 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
     if cfg.n_paths < 100:
         raise ConfigError(f"validate needs at least 100 paths, got {cfg.n_paths}")
     model = cfg.build_model()
+    # The suites take every sample at once.
+    _check_memory(max(cfg.d_list), 0, cfg.n_paths)
     report = run_validation(model, T=cfg.T, d=max(cfg.d_list), n_samples=cfg.n_paths,
                             cfg=cfg.shot_config())
     text = json.dumps(report, indent=2)
@@ -427,8 +460,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "variance-capture":
-            if any(d < 1 for d in args.d_values):
-                raise ConfigError("dimensions must be positive")
+            if any(not 1 <= d <= _MAX_DIMENSION for d in args.d_values):
+                raise ConfigError(f"dimensions must be positive integers up to {_MAX_DIMENSION}")
             return cmd_variance_capture(args.d_values)
         if args.command == "e1-table":
             return cmd_e1_table(args)
@@ -443,7 +476,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TruncationCapError as exc:
+    except (TruncationCapError, _MemoryLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -30,14 +30,18 @@ so they come from rotation ladders (``basis._rotations``: a few trig
 calls per row, then products and sums) rather than one ``cos`` call per row
 and column.
 Columns k <= 64 are x cos((k - 1/2) pi u), a ladder from pi u / 2 in steps
-of pi u, reduced per piece with ``np.add.reduceat``. Each later block of 64
-columns rotates from an anchor angle through one table of pi m u, m < 64,
-and BLAS sums it: in tiles of 8 blocks (512 columns, zero-padded past d),
-one matrix product of a fixed shape per piece and tile, with the piece
-zero-padded to a row bucket that its own row count sets (the next multiple
-of 16). All sizes are module constants, so a column's value depends on k and
-the sample's jumps alone, never on d, the chunk or the number of BLAS
-threads (see ``shot_sum`` for why, and for the measured error).
+of pi u, summed per piece with ``np.add.reduceat``. Past d = 64 that one
+ladder per row is also the phase table of every later column: column
+64 b + m + 1 is x cos(64 b pi u + (m + 1/2) pi u), ladder rung m rotated by
+the anchor 64 b pi u, and BLAS sums the rotated columns: in tiles of 8
+blocks (512 columns, zero-padded past d), one matrix product of a fixed
+shape per piece and tile, with the piece zero-padded to a row bucket that
+its own row count sets (the next multiple of 16). The anchors come from
+two short ladders in exactly reduced steps of 64 pi u and 512 pi u, so a
+row takes 8 trig calls up to d = 4160. All sizes are module constants, so a
+column's value depends on k and the sample's jumps alone, never on d, the
+chunk or the number of BLAS threads (see ``shot_sum`` for why, and for the
+measured error).
 
 Reproducibility: one routine, ``arrival_streams``, draws every arrival
 stream, the samplers' and the validation suites' alike, a chunk of sample
@@ -65,7 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .basis import _BLOCK, KleBasis, _anchor_angles, _rotations
+from .basis import _BLOCK, KleBasis, _anchor_angles, _doubled_steps, _ladder, _rotations
 from .models import PART_NEG, PART_POS, SplitModel, TailIntegral, center
 
 __all__ = [
@@ -94,13 +98,15 @@ PART_GAUSS = 2
 _FIRST_BLOCK = 128
 _MAX_TERMS = 1_000_000
 # shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
-# tile, the row quantum of a piece's padded size, padded rows per stacked
-# product and rows per group of whole pieces in the head; fixed, so that no
-# column depends on d or the chunk.
+# tile, the row quantum of a piece's padded size, padded rows per batch and
+# per span of laid-out rows past d = 64, and rows per group of whole pieces
+# at d <= 64; fixed, so that no column depends on d or the chunk. The batch
+# and span sizes were chosen with two worker threads (see ``_add_batches``).
 _ROW_BUDGET = 512
 _TILE = 8
 _ROW_QUANTUM = 16
 _BATCH_ROWS = 1024
+_SPAN_ROWS = 8192
 _HEAD_ROWS = 4096
 # numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
 _POOL_SIZE = 4
@@ -396,68 +402,180 @@ def _pieces(offsets: np.ndarray):
     return sample, start, np.minimum(start + _ROW_BUDGET, offsets[1:][sample])
 
 
-def _padded_rows(x, u, start, end, kb: int):
-    """The rows of pieces ``start:end`` as (pieces, kb) arrays, zero past each piece's end."""
+def _padded_rows(x, u, start, end, first, total: int):
+    """The rows of pieces ``start:end`` in flat arrays of ``total`` rows.
+
+    Piece p begins at row ``first[p]``; the rows between pieces are zero.
+    """
     n = end - start
     piece = np.repeat(np.arange(len(n)), n)
-    within = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    xp, up = np.zeros((len(n), kb)), np.zeros((len(n), kb))
-    xp[piece, within] = x[start[piece] + within]
-    up[piece, within] = u[start[piece] + within]
+    src = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
+    dst = src + (first - start)[piece]
+    xp, up = np.zeros(total), np.zeros(total)
+    xp[dst], up[dst] = x[src], u[src]
     return xp, up
 
 
-def _halves(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """(m, pieces, kb) arrays side by side per piece: (m, pieces, 2 kb)."""
-    return np.concatenate((first, second), axis=-1)
+def _piece_sums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray | None = None) -> np.ndarray:
+    """The sums of ``terms[:, lo_p:hi_p]`` along the rows, one row per piece p: (pieces, len(terms)).
 
-
-def _add_tiles(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
-               sample: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
-    """Add the rotated columns of every piece into ``acc`` (its columns past the head).
-
-    Block b of ``_BLOCK`` columns is anchored at theta_b = pi (_BLOCK (b + 1)
-    + 1/2) u; the anchors of tile t (blocks b = _TILE t + e) rotate the
-    ``_TILE`` fine angles of e by the coarse angle pi _TILE _BLOCK t u; both
-    are reduced exactly (``_anchor_angles``). The phases phi_m = pi m u are
-    a rotation ladder (``_rotations``) from 0 in steps of pi u. A piece of K
-    rows is zero-padded to kb rows, K rounded up to a multiple of
-    ``_ROW_QUANTUM``, and each tile is then one product of a fixed shape:
-    [x cos(theta) | -x sin(theta)] (_TILE x 2 kb) times [cos(phi); sin(phi)]
-    (2 kb x _BLOCK), phi_m = pi m u. Pieces of one kb and one rank in their
-    sample (0 for a sample's first piece) are stacked, at most
-    ``_BATCH_ROWS`` padded rows per ``np.matmul``; ranks go in order, so the
-    pieces of a sample are added into it in row order, one per batch. The
-    operands are laid out (rows of the matrix, pieces, 2 kb), so that the
-    elementwise work runs along whole batches; a product's leading dimension
-    then varies with the batch, which leaves its bits alone (batch rows
-    equal single samples, by test).
+    ``terms`` holds one column of the head per row and one jump per
+    column, so that ``np.add.reduceat`` runs along contiguous memory; numpy
+    adds a piece's first jump to a pairwise sum of the rest. Without ``hi``
+    the pieces tile ``terms`` and go to reduceat by their starts. Otherwise
+    the bounds go as the pairs (lo_p, hi_p) and every second sum is kept; a
+    last hi_p equal to the column count is left off, as reduceat takes no
+    index past the end and its last sum runs to the end anyway.
     """
-    n_tiles = -(-acc.shape[1] // (_TILE * _BLOCK))
-    fine = _BLOCK * (1.0 + np.arange(_TILE)) + 0.5
-    coarse = _TILE * _BLOCK * np.arange(n_tiles, dtype=float)
+    if hi is None:
+        return np.add.reduceat(terms, lo, axis=1).T
+    bounds = np.stack((lo, hi), axis=1).ravel()
+    if bounds[-1] == terms.shape[1]:
+        bounds = bounds[:-1]
+    return np.add.reduceat(terms, bounds, axis=1)[:, ::2].T
+
+
+def _span_ladders(x: np.ndarray, u: np.ndarray, n_groups: int):
+    """Starts and doubled steps of the rotation ladders of a span of padded rows.
+
+    Each row runs 2 + n_groups ladders side by side, (2 + n_groups, rows):
+    0, the phases (m + 1/2) pi u (start pi u / 2, step pi u); 1, the fine
+    anchors x cos and x sin of 64 (e + 1) pi u (start x e^(i alpha) and step
+    alpha = 64 pi u); 2 + q, the coarse anchors cos and -sin of 512 t pi u,
+    t = _TILE q + r (start 4096 q pi u, 0 for q = 0, step beta = 512 pi u,
+    conjugated). alpha, beta and 4096 q pi u are reduced exactly
+    (``_anchor_angles``), so the anchors' error stays a few eps per rung at
+    any d and every angle's bits depend on its index and u alone; that is 8
+    trig calls per row while d <= 4160 (n_groups = 1). Returns the starts'
+    cos and sin, the ``_doubled_steps`` of all ladders for their first
+    ``_TILE`` rungs and those of the phases for the rest of their
+    ``_BLOCK`` rungs. The phases' rungs are bitwise those of
+    ``_rotations(pi u / 2, pi u, _BLOCK)``.
+    """
+    step = np.pi * u
+    k = np.concatenate(([_BLOCK, _TILE * _BLOCK], _TILE * _TILE * _BLOCK * np.arange(1.0, n_groups)))
+    angles = np.concatenate(((0.5 * step)[None], step[None], _anchor_angles(u, k)))
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    del angles, step
+    # Rows of cos_a: pi u / 2, pi u, alpha, beta, then 4096 q pi u for q >= 1;
+    # the start of the coarse ladder from 0 takes the place of beta.
+    rows = [0, 2, 3] + list(range(4, 3 + n_groups))
+    start_c, start_s = cos_a[rows], sin_a[rows]
+    start_c[1] *= x
+    start_s[1] *= x
+    start_c[2], start_s[2] = 1.0, 0.0
+    np.negative(start_s[2:], out=start_s[2:])
+    rows = [1, 2] + [3] * n_groups
+    step_c, step_s = cos_a[rows], sin_a[rows]
+    np.negative(step_s[2:], out=step_s[2:])
+    early = _doubled_steps(step_c, step_s, _TILE)
+    later = _doubled_steps(early[-1][0][0], early[-1][1][0], 2 * _BLOCK // _TILE)[1:]
+    return start_c, start_s, early, later
+
+
+def _tiles(out: np.ndarray, xcf: np.ndarray, xsf: np.ndarray, cc: np.ndarray, nsc: np.ndarray,
+           table: np.ndarray) -> None:
+    """Write the columns past the head of a batch of padded pieces into ``out`` (pieces, tiles x 512).
+
+    ``xcf`` and ``xsf`` are x cos and x sin of the fine angles, (_TILE,
+    rows); ``cc`` and ``nsc`` cos and -sin of the coarse ones, (tiles,
+    rows); ``table`` the batch's phase ladder, (``_BLOCK``, pieces, kb, 2),
+    holding cos and sin of phi_m = (m + 1/2) pi u side by side per row.
+    Block b >= 1 of ``_BLOCK`` columns is anchored at theta_b = 64 b pi u,
+    so its column m is
+    x cos(theta_b + phi_m) = x cos(theta_b) cos(phi_m) - x sin(theta_b) sin(phi_m),
+    and tile t holds blocks b = 1 + _TILE t + e, whose anchors rotate the
+    fine angle 64 (e + 1) pi u by the coarse angle 512 t pi u. Each tile is
+    one product of a fixed shape per piece, (x cos(theta), -x sin(theta))
+    per row (_TILE x 2 kb) times (cos(phi), sin(phi)) per row (2 kb x
+    _BLOCK). The left operands are written in place, in the layout
+    (tiles, _TILE, rows, 2) that ``np.matmul`` takes as strided matrices,
+    so that the elementwise work runs along all rows of the batch.
+    """
+    n_pieces, kb = table.shape[1:3]
+    n_tiles, n_rows = cc.shape
+    cc, nsc, xcf, xsf = cc[:, None], nsc[:, None], xcf[None], xsf[None]
+    lhs = np.empty((n_tiles, _TILE, n_rows, 2))
+    tmp = np.empty((n_tiles, _TILE, n_rows))
+    xc, xs = lhs[..., 0], lhs[..., 1]
+    np.multiply(cc, xcf, out=xc)
+    xc += np.multiply(nsc, xsf, out=tmp)
+    np.multiply(nsc, xcf, out=xs)
+    xs -= np.multiply(cc, xsf, out=tmp)
+    del tmp
+    np.matmul(lhs.reshape(n_tiles, _TILE, n_pieces, 2 * kb).transpose(2, 0, 1, 3),
+              table.reshape(_BLOCK, n_pieces, 2 * kb).transpose(1, 2, 0)[:, None],
+              out=out.reshape(n_pieces, n_tiles, _TILE, _BLOCK))
+
+
+def _batch_columns(x: np.ndarray, ladders, lo: np.ndarray, hi: np.ndarray,
+                   n_pieces: int, n_tiles: int) -> np.ndarray:
+    """The unscaled columns of a batch of padded pieces, (pieces, _BLOCK + tiles x 512).
+
+    ``x`` holds the batch's padded rows, piece p in ``lo[p]:hi[p]`` and zeros
+    up to the next; ``ladders`` are the starts and steps of their ladders,
+    sliced to the batch (``_span_ladders``). The ladders run their first
+    ``_TILE`` rungs together; the phases then go on to ``_BLOCK`` rungs in
+    the tiles' table, whose cosines times x are the head columns, summed
+    over each piece's own rows (``_piece_sums``), and which is the phase
+    table of every tile (``_tiles``).
+    """
+    start_c, start_s, early, later = ladders
+    shape = (_TILE, *start_c.shape)
+    c, s = np.empty(shape), np.empty(shape)
+    c[0], s[0] = start_c, start_s
+    _ladder(c, s, early)
+    table = np.empty((_BLOCK, n_pieces, len(x) // n_pieces, 2))
+    cos_p, sin_p = (table[..., h].reshape(_BLOCK, -1) for h in (0, 1))
+    cos_p[:_TILE], sin_p[:_TILE] = c[:, 0], s[:, 0]
+    _ladder(cos_p, sin_p, later, filled=_TILE)
+    cols = np.empty((n_pieces, _BLOCK + n_tiles * _TILE * _BLOCK))
+    cols[:, :_BLOCK] = _piece_sums(cos_p * x, lo, hi)
+    coarse_c, coarse_s = (a[:, 2:].swapaxes(0, 1).reshape(-1, len(x))[:n_tiles] for a in (c, s))
+    _tiles(cols[:, _BLOCK:], c[:, 1], s[:, 1], coarse_c, coarse_s, table)
+    return cols
+
+
+def _add_batches(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarray,
+                 sample: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+    """Add every column of every piece into ``acc`` (d > ``_BLOCK``).
+
+    A piece of K rows is zero-padded to kb rows, K rounded up to a multiple
+    of ``_ROW_QUANTUM``. Pieces of one kb and one rank in their sample (0
+    for a sample's first piece) are stacked, at most ``_BATCH_ROWS`` padded
+    rows per batch (``_batch_columns``); ranks go in order, so the pieces of
+    a sample are added into it in row order, one per batch. The padded rows
+    are laid out in spans of at most ``_SPAN_ROWS``, batch after batch, with
+    the starts and steps of their ladders (``_span_ladders``), so that a
+    batch makes few numpy calls: each call hands the interpreter lock to
+    the other worker thread and back. A batch's head and tiles come in one
+    buffer, which is scaled in place and added into its samples' rows.
+    """
+    d = acc.shape[1]
     kbs = -(-(end - start) // _ROW_QUANTUM) * _ROW_QUANTUM
     rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
     key = rank * (_ROW_BUDGET + 1) + kbs
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    i = 0
-    while i < len(order):
-        kb = int(kbs[order[i]])
-        j = min(i + _BATCH_ROWS // kb, int(np.searchsorted(key, key[i], side="right")))
-        sel = order[i:j]
-        xp, up = _padded_rows(x, u, start[sel], end[sel], kb)
-        # [cos(phi); sin(phi)]: two trig calls per row.
-        table = _halves(*_rotations(None, np.pi * up, _BLOCK))
-        # [x cos(theta) | -x sin(theta)] for every anchor of every tile, with
-        # theta = coarse + fine and x folded into the fine factors.
-        tc, tf = _anchor_angles(up, coarse), _anchor_angles(up, fine)
-        cc, sc, xcf, xsf = np.cos(tc), np.sin(tc), xp * np.cos(tf), xp * np.sin(tf)
-        lhs = (_halves(cc, -sc)[:, None] * _halves(xcf, xcf)[None]
-               + _halves(-sc, -cc)[:, None] * _halves(xsf, xsf)[None])
-        prod = np.matmul(lhs.transpose(2, 0, 1, 3), table.transpose(1, 2, 0)[:, None])
-        acc[sample[sel]] += prod.reshape(j - i, -1)[:, :acc.shape[1]] * scale
-        i = j
+    key, kbs, sample, start, end = key[order], kbs[order], sample[order], start[order], end[order]
+    first = np.cumsum(kbs) - kbs
+    n_tiles = -(-(d - _BLOCK) // (_TILE * _BLOCK))
+    spans = np.unique(np.append(np.searchsorted(first, np.arange(0, kbs.sum(), _SPAN_ROWS)), len(key)))
+    for p0, p1 in zip(spans[:-1], spans[1:]):
+        r0 = first[p0]
+        xp, up = _padded_rows(x, u, start[p0:p1], end[p0:p1], first[p0:p1] - r0, int(kbs[p0:p1].sum()))
+        start_c, start_s, early, later = _span_ladders(xp, up, -(-n_tiles // _TILE))
+        i = p0
+        while i < p1:
+            kb = int(kbs[i])
+            j = min(i + _BATCH_ROWS // kb, int(np.searchsorted(key, key[i], side="right")), p1)
+            rows = slice(first[i] - r0, first[j - 1] + kb - r0)
+            ladders = (start_c[:, rows], start_s[:, rows], [(wc[:, rows], ws[:, rows]) for wc, ws in early],
+                       [(wc[rows], ws[rows]) for wc, ws in later])
+            lo = first[i:j] - first[i]
+            cols = _batch_columns(xp[rows], ladders, lo, lo + end[i:j] - start[i:j], j - i, n_tiles)[:, :d]
+            cols *= scale
+            acc[sample[i:j]] += cols
+            i = j
 
 
 def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
@@ -473,33 +591,38 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
 
     A sample's rows are cut into pieces of at most ``_ROW_BUDGET`` rows, only
     past that budget and where its own rows say. Columns k <= ``_BLOCK`` are
-    x cos((k - 1/2) pi u), a rotation ladder (``_rotations``, four trig calls
-    per row) from pi u / 2 in steps of pi u, in groups of whole pieces of at
-    most ``_HEAD_ROWS`` rows; each piece is reduced with ``np.add.reduceat``
-    along its rows (numpy adds the first row to a pairwise sum of the rest)
-    and ``np.add.at`` adds the pieces of a sample in row order. Each later
-    block of ``_BLOCK`` columns, starting at index k_half = c + 1/2,
-    rotates from its anchor angle theta = pi (c + 1/2) u:
-    x cos(theta + phi_m) = x cos(theta) cos(phi_m) - x sin(theta) sin(phi_m),
-    with phi_m = pi m u for m < ``_BLOCK``. BLAS sums these columns in tiles
-    of ``_TILE`` blocks (``_add_tiles``): one product of a fixed shape per
+    x cos((k - 1/2) pi u), a rotation ladder (``_rotations``, four trig
+    calls per row) from pi u / 2 in steps of pi u; each piece is summed
+    along its rows (``_piece_sums``) and the pieces of a sample are added
+    into it in row order. At d <= ``_BLOCK`` the ladder runs over groups of
+    whole pieces of at most ``_HEAD_ROWS`` rows. Past that the pieces are
+    zero-padded and batched (``_add_batches``), and one ladder per padded
+    row serves the head and every later column: column 64 b + m + 1, b >= 1,
+    is x cos(theta_b + phi_m), ladder rung m, phi_m = (m + 1/2) pi u,
+    rotated by the anchor theta_b = 64 b pi u. BLAS sums these columns in
+    tiles of ``_TILE`` blocks (``_tiles``): one product of a fixed shape per
     piece and tile, the piece zero-padded to a row bucket (its row count
     rounded up to a multiple of ``_ROW_QUANTUM``) and the last tile
-    zero-padded past d. So an output element comes from a product whose
-    shape and operands do not depend on d, on the other samples of the chunk
-    or on the chunking, and the pieces of a sample are added into it in row
-    order: every column is a function of k and the sample's rows only. A
-    BLAS product of one shape gives the same bits on every call; for these
-    shapes OpenBLAS also gives them under one and two threads (tested),
-    where one (8 x 3000) @ (3000 x 64) product does not.
+    zero-padded past d. The anchors come from two ladders of ``_TILE``
+    rungs in exactly reduced steps of 64 pi u and 512 pi u
+    (``_span_ladders``), so a padded row takes 8 trig calls up to d = 4160
+    and 2 more per 4096 columns beyond, where one exact anchor per tile and
+    a phase table of its own took 34 at d = 3000. The head sums the same
+    elements in the same order on both routes, and an output element comes
+    from operations whose shapes and operands do not depend on d, on the
+    other samples of the chunk or on the chunking: every column is a
+    function of k and the sample's rows only. A BLAS product of one shape
+    gives the same bits on every call; for these shapes OpenBLAS also gives
+    them under one and two threads (tested), where one
+    (8 x 3000) @ (3000 x 64) product does not.
 
     Anchor angles are reduced mod 2 pi without rounding (``_anchor_angles``);
     a ladder adds a few eps per rung. Against np.cos of exact angles every
-    column is within 2.2e-14 of sum |x_i| for one jump, 5.0e-15 for 45 and
-    1.4e-15 for 450 (largest of 300, 60 and 12 random draws at d = 3000;
-    3.5e-14, 5.3e-15 and 1.7e-15 for the same draws with one ``cos`` call
-    per head column and phase); np.cos of the float64 product
-    pi (k - 1/2) u is off by up to 1.9e-12 there.
+    column is within 2.5e-14 of sum |x_i| for one jump, 5.0e-15 for 45 and
+    1.3e-15 for 450 (largest of 300, 60 and 12 random draws at d = 3000;
+    2.5e-14, 6.6e-15 and 1.5e-15 at d = 9000, past the first exact restart
+    of the coarse ladder); np.cos of the float64 product pi (k - 1/2) u is
+    off by up to 1.9e-12 at d = 3000.
     """
     x = np.asarray(jump_sizes, dtype=float)
     u = np.asarray(uniforms, dtype=float)
@@ -509,22 +632,18 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
         out = np.zeros(d if offsets is None else (len(bounds) - 1, d))
     acc = out[None] if out.ndim == 1 else out
     scale = math.sqrt(2.0 * basis.T) / math.pi / k_half
-    head = min(d, _BLOCK)
     sample, start, end = _pieces(bounds)
+    if d > _BLOCK:
+        _add_batches(acc, scale, x, u, sample, start, end)
+        return out
     i = 0
     while i < len(start):
         j = int(np.searchsorted(end, start[i] + _HEAD_ROWS, side="right"))
         r0, r1 = start[i], end[j - 1]
-        # Column k is x cos((k - 1/2) pi u), a rotation ladder from pi u / 2
-        # in steps of pi u; its term matrix holds one column k per row, so
-        # that reduceat runs along contiguous rows. A group may hold several
-        # pieces of one sample, which add.at adds in row order.
         step = np.pi * u[r0:r1]
-        terms = _rotations(0.5 * step, step, head)[0] * x[r0:r1]
-        np.add.at(acc[:, :head], sample[i:j], np.add.reduceat(terms, start[i:j] - r0, axis=1).T * scale[:head])
+        terms = _rotations(0.5 * step, step, d)[0] * x[r0:r1]
+        np.add.at(acc, sample[i:j], _piece_sums(terms, start[i:j] - r0) * scale)
         i = j
-    if d > _BLOCK:
-        _add_tiles(acc[:, _BLOCK:], scale[_BLOCK:], x, u, sample, start, end)
     return out
 
 

@@ -161,7 +161,12 @@ class TestVarianceCapture:
         assert lines[2] == f"5,{CAPTURED_D5}"
 
     def test_rejects_nonpositive(self, capsys):
-        assert main(["variance-capture", "0"]) == 2
+        # A dimension above the basis bound is refused before any row is
+        # printed, not after the rows below it (numpy could not allocate it).
+        for d_values in (["0"], ["5", "100000000000"]):
+            assert main(["variance-capture", *d_values]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCsv:
@@ -274,6 +279,20 @@ class TestMcMean:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "4.547e+06" in err and "max_terms=1000000" in err and "0 drawn" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_memory_estimate_exits_three_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # d = 1e7 needs about 16 GB for a 200-point eigenfunction matrix and
+        # 41 GB per 512-sample chunk; with the physical memory read as 1 GiB
+        # every sampling command stops with one line before allocating.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+        for command in ("mc-mean", "simulate-paths", "validate"):
+            rc = main([command, "--model", "variance_gamma", "--n-paths", "512", "--d-list", "10000000",
+                       "--output-dir", str(tmp_path)])
+            assert rc == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            assert "GiB" in err and "1 GiB of physical memory" in err
         assert not list(tmp_path.iterdir())
 
     def test_cesaro_mode_runs(self, tmp_path):

@@ -251,19 +251,41 @@ class TestShotSum:
         # zero-padded past d) over pieces padded to a row bucket that their
         # own row count sets, so every d and every chunking of the samples
         # reproduces d = 3000 bitwise: across tile edges (512/513), with
-        # samples of no rows and samples cut past the 512-row budget.
+        # samples of no rows and samples cut past the 512-row budget. The
+        # head is summed by the d <= 64 route over contiguous rows and by
+        # the d > 64 route over padded pieces; both give the same bits, also
+        # for samples cut into several pieces. (A sum over a piece's padded
+        # bucket would often match too: the 21- and 37-row samples are ones
+        # where it does not.)
         rng = np.random.default_rng(13)
-        n = np.array([0, 45, 1, 0, 16, 17, 700, 512, 0, 3, 90, 513, 0, 48, 2, 1100, 31])
+        n = np.array([0, 45, 1, 0, 16, 17, 700, 512, 0, 3, 90, 513, 0, 48, 2, 1100, 31, 21, 37])
         offsets = np.concatenate(([0], np.cumsum(n)))
         x = rng.exponential(size=offsets[-1]) * rng.choice([-1.0, 1.0], size=offsets[-1])
         u = rng.random(offsets[-1])
         basis = KleBasis(T=1.0, d=3000, alpha=1.0)
         wide = shot_sum(basis, x, u, offsets)
-        for d in (65, 512, 513, 3000):
+        for d in (1, 25, 64, 65, 512, 513, 3000):
             assert np.array_equal(shot_sum(KleBasis(T=1.0, d=d, alpha=1.0), x, u, offsets), wide[:, :d])
         for chunk in (1, 7, 512):
             parts = [shot_sum(basis, x, u, offsets[lo:lo + chunk + 1]) for lo in range(0, len(n), chunk)]
             assert np.array_equal(np.concatenate(parts), wide)
+
+    def test_coarse_anchors_reanchored_exactly(self):
+        # The coarse anchors 512 t pi u run in ladders of 8 rungs from the
+        # exact angles 4096 q pi u, so the tiles past t = 8 (k > 4160) keep
+        # the prefix bits and the accuracy of the first ones.
+        rng = np.random.default_rng(21)
+        n = np.array([1, 45, 700])
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        x = rng.exponential(size=offsets[-1]) * rng.choice([-1.0, 1.0], size=offsets[-1])
+        u = rng.random(offsets[-1])
+        wide = shot_sum(KleBasis(T=1.0, d=9000, alpha=1.0), x, u, offsets)
+        for d in (4160, 4161, 4700):
+            assert np.array_equal(shot_sum(KleBasis(T=1.0, d=d, alpha=1.0), x, u, offsets), wide[:, :d])
+        basis = KleBasis(T=1.0, d=9000, alpha=1.0)
+        for j in range(len(n)):
+            rows = slice(offsets[j], offsets[j + 1])
+            assert self._relative_error(basis, x[rows], u[rows], wide[j]) <= 1e-13
 
     @staticmethod
     def _relative_error(basis, x, u, value):
