@@ -293,6 +293,13 @@ class TestMcMean:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
             assert "GiB" in err and "1 GiB of physical memory" in err
+        # validate at d = 1e5 holds only 0.08 GB of samples, but its moment
+        # suite would build d x d arrays of 80 GB each.
+        rc = main(["validate", "--model", "variance_gamma", "--n-paths", "100", "--d-list", "100000"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "d x d" in err and "1 GiB of physical memory" in err
         assert not list(tmp_path.iterdir())
 
     def test_cesaro_mode_runs(self, tmp_path):
