@@ -1,8 +1,9 @@
 """Command-line front end for path simulation, mean studies and validation.
 
 Subcommands: ``simulate-paths``, ``mc-mean``, ``validate``,
-``variance-capture``, ``e1-table``. Experiments are described by a JSON
-config document; individual flags override fields. All outputs are
+``variance-capture``, ``e1-table``. The first three read an experiment
+from a JSON config document and from flags, which override its fields;
+``_FIELDS`` states each field's type, rule and flag once. All outputs are
 deterministic for a fixed config and seed, byte-identical regardless of the
 worker count and the BLAS thread count: samples are generated on per-index
 derived streams, paths are reconstructed by products of a fixed shape
@@ -10,31 +11,32 @@ derived streams, paths are reconstructed by products of a fixed shape
 summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
-configuration error (a negative seed or a dimension above the basis bound
-among them), 3 on a resource limit: a series that needs more terms than
-``max_terms`` allows (``TruncationCapError``; raised before any draw when
-the truncation level, the expected term count, already exceeds the cap),
-or a run whose estimated peak memory exceeds the machine's physical memory
-(checked before sampling, see ``_check_memory``).
+configuration error (a bad command line, a negative seed or a dimension
+above the basis bound among them), 3 on a resource limit: a series that
+needs more terms than ``max_terms`` allows (``TruncationCapError``; raised
+before any draw when the truncation level, the expected term count,
+already exceeds the cap), or a run whose estimated peak memory exceeds the
+machine's physical memory (checked before sampling, see ``_check_memory``).
+Every error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import _BLOCK, _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
-from .models import SplitModel, model_from_config
+from .models import _CONFIG_KINDS, SplitModel, model_from_config
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
 # ``sample_coeffs_batch``.
@@ -58,9 +60,102 @@ class _MemoryLimit(RuntimeError):
     """A run estimated to need more than the physical memory (maps to exit code 3)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ConfigError``: one error line, exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _number(value) -> float | None:
+    """``value`` as a float if it is a finite int or float, else None; nothing is parsed."""
+    finite = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return float(value) if finite else None
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an integer or an integral float, else None; nothing is parsed or truncated."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return int(value) if integral and not isinstance(value, bool) else None
+
+
+def _integers(value) -> tuple | None:
+    """``value`` as a tuple of ints if it is a list of ``_integer`` values, else None."""
+    ints = tuple(map(_integer, value)) if isinstance(value, (list, tuple)) else (None,)
+    return None if None in ints else ints
+
+
+def _comma_separated(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+# kind -> (its flag's argparse keywords, the load of a JSON or flag value:
+# the value in this type, or None if it has another)
+_KINDS = {
+    "number": ({"type": float}, _number),
+    "integer": ({"type": int}, _integer),
+    "integers": ({"type": _comma_separated}, _integers),
+    "string": ({}, lambda v: v if isinstance(v, str) else None),
+    "mapping": ({"choices": tuple(_CONFIG_KINDS)}, lambda v: v if isinstance(v, dict) else None),
+}
+
+
+def _dimension(d: int) -> bool:
+    """The rule for one basis dimension, in ``d_list`` and in ``variance-capture``."""
+    return 1 <= d <= _MAX_DIMENSION
+
+
+class _Field(NamedTuple):
+    """One config field: its ``_KINDS`` type, its flag, the requirement that
+    an error line states, and the rule a value of the type must pass."""
+
+    kind: str
+    flag: str
+    help: str
+    requirement: str
+    rule: Callable[[object], bool] = lambda v: True
+
+
+# The experiment config, one entry per ``ExperimentConfig`` field. The JSON
+# document's ``model`` is a mapping; on the command line ``--model`` names
+# its kind and ``--model-param`` sets its parameters.
+_FIELDS = {
+    "model": _Field("mapping", "--model", "model kind", "a mapping with a 'model' kind"),
+    "T": _Field("number", "-T", "time horizon", "a positive finite number", lambda v: v > 0.0),
+    "d_list": _Field("integers", "--d-list", "comma-separated ascending dimensions, e.g. 5,25,3000",
+                     f"a nonempty, strictly ascending list of integers within 1..{_MAX_DIMENSION}",
+                     lambda v: bool(v) and all(map(_dimension, v)) and list(v) == sorted(set(v))),
+    "n_paths": _Field("integer", "--n-paths", "number of sampled paths", "integral and at least 1", lambda v: v >= 1),
+    "grid_n": _Field("integer", "--grid-n", "number of time grid points", "integral and at least 2", lambda v: v >= 2),
+    "seed": _Field("integer", "--seed", "root seed", "non-negative and integral", lambda v: v >= 0),
+    "mode": _Field("string", "--mode", "summation", "'partial' or 'cesaro'", lambda v: v in ("partial", "cesaro")),
+    "gamma_cutoff": _Field("number", "--gamma-cutoff", "series truncation level", "a positive finite number",
+                           lambda v: v > 0.0),
+    "output_dir": _Field("string", "--output-dir", "directory for the output files", "a string"),
+    "prefix": _Field("string", "--prefix", "file name prefix of the outputs", "a string"),
+    "workers": _Field("integer", "--workers", "threads; the output does not depend on them", "integral and at least 1",
+                      lambda v: v >= 1),
+}
+
+
+def _checked(name: str, value):
+    """``value`` in the type of field ``name``; ``ConfigError`` if it has another or breaks the rule."""
+    entry = _FIELDS.get(name)
+    if entry is None:
+        raise ConfigError(f"unknown config field {name!r}")
+    typed = _KINDS[entry.kind][1](value)
+    if typed is None or not entry.rule(typed):
+        raise ConfigError(f"{name} must be {entry.requirement}, got {value!r}")
+    return typed
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment manifest; see ``from_sources`` for the JSON layout."""
+    """One experiment manifest. Its JSON document holds any of these fields
+    by name; ``_FIELDS`` gives each one's type, rule and flag."""
 
     model: dict = field(default_factory=lambda: {"model": "variance_gamma"})
     T: float = 1.0
@@ -75,30 +170,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if not isinstance(self.model, dict):
-            raise ConfigError(f"model must be a mapping with a 'model' kind, got {self.model!r}")
-        if self.T <= 0.0 or not math.isfinite(self.T):
-            raise ConfigError(f"T must be a positive real, got {self.T!r}")
-        if not self.d_list:
-            raise ConfigError("d_list must be nonempty")
-        if any(int(d) != d or d < 1 for d in self.d_list):
-            raise ConfigError(f"d_list must contain positive integers, got {self.d_list!r}")
-        if max(self.d_list) > _MAX_DIMENSION:
-            raise ConfigError(f"d_list entries must be at most {_MAX_DIMENSION}, got {max(self.d_list)!r}")
-        if list(self.d_list) != sorted(set(self.d_list)):
-            raise ConfigError(f"d_list must be strictly ascending, got {self.d_list!r}")
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be at least 1, got {self.n_paths!r}")
-        if self.grid_n < 2:
-            raise ConfigError(f"grid_n must be at least 2, got {self.grid_n!r}")
-        if self.mode not in ("partial", "cesaro"):
-            raise ConfigError(f"mode must be 'partial' or 'cesaro', got {self.mode!r}")
-        if not 0.0 < self.gamma_cutoff < math.inf:
-            raise ConfigError(f"gamma_cutoff must be positive and finite, got {self.gamma_cutoff!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
+        """Raise ``ConfigError`` for the first field whose value breaks its ``_FIELDS`` entry."""
+        for name in _FIELDS:
+            _checked(name, getattr(self, name))
 
     def build_model(self) -> SplitModel:
         try:
@@ -110,75 +184,28 @@ class ExperimentConfig:
         return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer or an integral float; nothing is parsed or truncated."""
-    if not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _typed(name: str, value, types, what: str):
-    """``value`` if it is an instance of ``types`` and not a boolean; nothing is parsed."""
-    if isinstance(value, types) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
-    """Build the config from the JSON document, then apply flag overrides."""
-    cfg = ExperimentConfig()
+    """The JSON document's config with the flags' values over its fields, each value checked."""
+    values = {}
     if args.config is not None:
         try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            values = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(doc, dict):
+        if not isinstance(values, dict):
             raise ConfigError("config document must be a JSON object")
-        known = set(ExperimentConfig.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = replace(cfg, **doc)
-    overrides = {}
-    for name in ("T", "n_paths", "grid_n", "seed", "mode", "gamma_cutoff",
-                 "output_dir", "prefix", "workers"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "d_list", None) is not None:
+    values.update((name, getattr(args, name)) for name in _FIELDS if getattr(args, name) is not None)
+    if args.model is not None:
+        values["model"] = {"model": args.model}
+    if args.model_param and args.model is None:
+        raise ConfigError(f"model parameters {args.model_param} need --model")
+    for item in args.model_param or []:
         try:
-            overrides["d_list"] = tuple(int(part) for part in args.d_list.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad d_list {args.d_list!r}: {exc}") from exc
-    params = getattr(args, "model_param", None) or []
-    if params and getattr(args, "model", None) is None:
-        raise ConfigError(f"model parameters {params} need --model")
-    if getattr(args, "model", None) is not None:
-        chosen = {"model": args.model}
-        for item in params:
-            key, _, raw = item.partition("=")
-            if not _:
-                raise ConfigError(f"model parameter {item!r} is not key=value")
-            try:
-                chosen[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad model parameter {item!r}: {exc}") from exc
-        overrides["model"] = chosen
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    try:
-        cfg = replace(
-            cfg,
-            T=float(_typed("T", cfg.T, (int, float), "a number")),
-            gamma_cutoff=float(_typed("gamma_cutoff", cfg.gamma_cutoff, (int, float), "a number")),
-            **{name: _typed(name, getattr(cfg, name), str, "a string") for name in ("mode", "output_dir", "prefix")},
-            d_list=tuple(_integer("d_list", d) for d in _typed("d_list", cfg.d_list, (list, tuple), "a list")),
-            **{name: _integer(name, getattr(cfg, name)) for name in ("n_paths", "grid_n", "seed", "workers")},
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    cfg.validate()
-    return cfg
+            key, raw = item.split("=", 1)
+            values["model"][key] = float(raw)
+        except ValueError:
+            raise ConfigError(f"model parameter {item!r} is not key=number") from None
+    return ExperimentConfig(**{name: _checked(name, value) for name, value in values.items()})
 
 
 def _csv_column(values: np.ndarray) -> list[str]:
@@ -417,27 +444,14 @@ def cmd_e1_table(args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment config; flags override its fields")
-    p.add_argument("--model", choices=["brownian", "gamma", "cp_exponential", "variance_gamma"])
+    for name, entry in _FIELDS.items():
+        p.add_argument(entry.flag, dest=name, help=entry.help, **_KINDS[entry.kind][0])
     p.add_argument("--model-param", action="append", metavar="KEY=VALUE",
                    help="model parameter override, repeatable")
-    p.add_argument("-T", type=float, dest="T", help="time horizon")
-    p.add_argument("--d-list", help="comma-separated ascending dimensions, e.g. 5,25,3000")
-    p.add_argument("--n-paths", type=int, dest="n_paths")
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["partial", "cesaro"])
-    p.add_argument("--gamma-cutoff", type=float, dest="gamma_cutoff")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--prefix")
-    p.add_argument("--workers", type=int,
-                   help="thread count (default 1); output is identical for any value")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="levykle",
-        description="Simulate truncated Karhunen-Loeve expansions of Levy processes",
-    )
+    parser = _Parser(prog="levykle", description="Simulate truncated Karhunen-Loeve expansions of Levy processes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-paths", help="write t,value CSVs for sampled paths")
@@ -465,11 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "variance-capture":
-            if any(not 1 <= d <= _MAX_DIMENSION for d in args.d_values):
-                raise ConfigError(f"dimensions must be positive integers up to {_MAX_DIMENSION}")
+            if not all(map(_dimension, args.d_values)):
+                raise ConfigError(f"dimensions must be within 1..{_MAX_DIMENSION}, got {args.d_values}")
             return cmd_variance_capture(args.d_values)
         if args.command == "e1-table":
             return cmd_e1_table(args)
@@ -478,9 +492,7 @@ def main(argv=None) -> int:
             return cmd_simulate_paths(cfg)
         if args.command == "mc-mean":
             return cmd_mc_mean(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.report)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_validate(cfg, args.report)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

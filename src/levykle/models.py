@@ -22,6 +22,7 @@ built; a model failing the check is rejected.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -495,7 +496,8 @@ def model_from_config(cfg: dict) -> SplitModel:
     ``gamma`` (``c``, ``rho``), ``cp_exponential`` (``rate``, ``rho``) and
     ``variance_gamma`` (``c_pos``, ``rho_pos``, ``c_neg``, ``rho_neg``).
     Omitted parameters take their defaults; any other key is an error, and so
-    is a parameter that is not a number (a boolean or a string).
+    is a parameter that is not a finite number (a boolean, a string, nan, an
+    infinity or an int beyond float range).
     """
     kind = cfg.get("model")
     if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
@@ -507,6 +509,7 @@ def model_from_config(cfg: dict) -> SplitModel:
                          f"known: {sorted(defaults)}")
     params = {name: cfg.get(name, default) for name, default in defaults.items()}
     for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"model parameter {name} must be a number, got {value!r}")
+        # The comparison is exact for an int of any size, and false for nan.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"model parameter {name} must be a finite number, got {value!r}")
     return build(**{name: float(value) for name, value in params.items()})

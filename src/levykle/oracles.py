@@ -26,7 +26,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.stats
 
 from .basis import KleBasis
 from .models import LevyModel, SplitModel, TailIntegral
@@ -171,6 +170,10 @@ def ks_two_sample(a, b) -> KsResult:
     bb = np.asarray(b, dtype=float).ravel()
     if len(aa) < 100 or len(bb) < 100:
         raise ValueError("ks_two_sample needs at least 100 points per sample")
+    # Imported here, not at the top: ``scipy.stats`` takes about half a
+    # second to import, and only the validate command's KS checks use it.
+    import scipy.stats
+
     res = scipy.stats.ks_2samp(aa, bb, method="asymp")
     return KsResult(statistic=float(res.statistic), pvalue=float(res.pvalue))
 

@@ -46,6 +46,12 @@ class TestConfig:
             ExperimentConfig(gamma_cutoff=float("inf")).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(d_list=(5, 2**26)).validate()
+        for bad in ({"n_paths": 0}, {"grid_n": 1}, {"T": float("nan")}, {"d_list": ()}, {"d_list": (0, 5)},
+                    {"output_dir": None}, {"model": "gamma"}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                ExperimentConfig(**bad).validate()
+        # Each rule's bound itself is allowed.
+        ExperimentConfig(n_paths=1, grid_n=2, seed=0, workers=1, d_list=(1, cli._MAX_DIMENSION)).validate()
 
     def test_json_config_with_flag_override(self, tmp_path, capsys):
         doc = {"model": {"model": "gamma", "c": 1.0, "rho": 1.0},
@@ -131,9 +137,10 @@ class TestConfig:
         # null is not the directory "None").
         for field, value in (("n_paths", 2.7), ("d_list", [2.9]), ("grid_n", 3.5), ("seed", 1.5),
                              ("workers", 1.5), ("n_paths", float("inf")), ("d_list", "25"), ("grid_n", "3"),
-                             ("seed", True), ("d_list", [True, 3]), ("T", True), ("T", "2.5"),
+                             ("seed", True), ("d_list", [True, 3]), ("T", True), ("T", "2.5"), ("T", 10**400),
                              ("gamma_cutoff", "45"), ("mode", 1), ("output_dir", None), ("prefix", None),
-                             ("model", {"model": "gamma", "c": True}), ("model", {"model": "gamma", "rho": "1"})):
+                             ("model", {"model": "gamma", "c": True}), ("model", {"model": "gamma", "rho": "1"}),
+                             ("model", {"model": "gamma", "c": 10**400})):
             doc = {"n_paths": 2, "d_list": [2], "grid_n": 3, "seed": 1, "output_dir": str(tmp_path / "out"),
                    field: value}
             cfg_file = tmp_path / "exp.json"
@@ -150,6 +157,83 @@ class TestConfig:
                                         "output_dir": str(tmp_path / "out")}))
         assert main(["mc-mean", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "out" / "levykle_mcmean_d2.csv").exists()
+
+    # kind -> (values as (JSON value, the same value as flag text), a JSON
+    # value of another type, flag text that is no value of the kind or None)
+    KIND_CASES = {
+        "number": ([(0.5, "0.5"), (2, "2"), (0, "0"), (-1.0, "-1.0"), (float("inf"), "inf")], "1.0", "x"),
+        "integer": ([(3, "3"), (1, "1"), (0, "0"), (-1, "-1")], 1.5, "1.5"),
+        "integers": ([([2, 3], "2,3"), ([3, 2], "3,2"), ([0], "0"), ([2, 2], "2,2")], "25", "5,x"),
+        "string": ([("cesaro", "cesaro"), ("partial", "partial"), ("fejer", "fejer"), ("", "")], None, None),
+        "mapping": ([({"model": "gamma"}, "gamma")], "gamma", "foo"),
+    }
+
+    @staticmethod
+    def config_or_none(argv):
+        try:
+            return cli._config_from_sources(cli._build_parser().parse_args(["mc-mean", *argv]))
+        except ConfigError:
+            return None
+
+    @pytest.mark.parametrize("name", list(cli._FIELDS))
+    def test_flag_and_json_agree(self, tmp_path, capsys, name):
+        # Derived from the schema: a field added later is covered through
+        # its kind. Each value gives the same config from its flag and from
+        # the JSON field, or exits 2 from both with one line naming it.
+        flag = cli._FIELDS[name].flag
+        values, wrong_type, bad_text = self.KIND_CASES[cli._FIELDS[name].kind]
+
+        def json_argv(value):
+            cfg_file = tmp_path / f"exp{len(list(tmp_path.iterdir()))}.json"
+            cfg_file.write_text(json.dumps({name: value}))
+            return ["--config", str(cfg_file)]
+
+        def assert_rejected(argv):
+            assert main(["mc-mean", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and (name in err or flag in err) and err.count("\n") == 1, err
+
+        accepted, rejected = [], [json_argv(wrong_type)]
+        if bad_text is not None:
+            rejected.append([flag, bad_text])
+        for value, text in values:
+            from_json = self.config_or_none(json_argv(value))
+            assert from_json == self.config_or_none([flag, text]), (value, text)
+            if from_json is None:
+                rejected += [json_argv(value), [flag, text]]
+            else:
+                accepted.append(from_json)
+        assert any(cfg != ExperimentConfig() for cfg in accepted)
+        for argv in rejected:
+            assert_rejected(argv)
+
+    # Each one used to print argparse's usage block before its error line.
+    @pytest.mark.parametrize("argv", [
+        ["mc-mean", "--n-paths", "abc"], ["mc-mean", "--mode", "fejer"], ["mc-mean", "--model", "foo"],
+        ["mc-mean", "-T", "x"], ["mc-mean", "--d-list", "5,x"], ["mc-mean", "--n-paths"], ["mc-mean", "--bogus", "1"],
+        ["mc-mean", "--report", "r.json"], [], ["no-such-command"], ["variance-capture"], ["e1-table", "save", "t.csv"],
+    ])
+    def test_bad_command_line_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc-mean", "-h"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:") and all(entry.flag in out for entry in cli._FIELDS.values())
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes about half a second to import; only validate's KS
+    # checks use it, so no command pays for it at start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", "import sys, levykle.cli; print('scipy.stats' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "False"
 
 
 class TestVarianceCapture:
