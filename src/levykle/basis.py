@@ -24,13 +24,14 @@ column then depends on k and u alone, never on how many columns are
 computed. Anchors are exact for k < 2^26, so the dimension is bounded by
 ``_MAX_DIMENSION``.
 
-The eigenfunction matrix is built from angle sums: per block of 64 columns,
-two trig calls per grid point for the exactly reduced anchor, plus two for
-one rotation ladder of phases shared by all blocks (96 calls per point at
-d = 3000, where one ``sin`` per column took 3000), and every element is
-within 2.5e-14 sqrt(2/T) of the exact value. A reconstruction adds, in
-block order, products of a fixed inner dimension of 64, so its values do
-not depend on d beyond the columns used nor on the number of BLAS threads.
+The eigenfunction matrix is built from angle sums: per block of up to 64
+columns, two trig calls per grid point for the exactly reduced anchor, plus
+two for one rotation ladder of phases shared by all blocks (96 calls per
+point at d = 3000, where one ``sin`` per column took 3000), and every
+element is within 2.5e-14 sqrt(2/T) of the exact value. It stores exactly d
+columns. A reconstruction adds, in block order, one product per block at
+the block's own width, so its values do not depend on d beyond the columns
+used nor on the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -147,8 +148,11 @@ class KleBasis:
             raise ValueError("T must be positive and finite")
         if not 1 <= self.d <= _MAX_DIMENSION:
             raise ValueError(f"d must be a positive integer up to {_MAX_DIMENSION}, got {self.d!r}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        # The first eigenvalue bounds the others and the coefficient
+        # variances; T * T is T**2, but overflows to inf instead of raising.
+        if not (self.alpha > 0.0 and self.alpha * (self.T * self.T) / (math.pi**2 * 0.25) < math.inf):
+            raise ValueError(f"alpha must be positive, and the first eigenvalue 4 alpha T^2 / pi^2 finite, "
+                             f"got alpha={self.alpha!r} at T={self.T!r}")
 
     @cached_property
     def k_half(self) -> np.ndarray:
@@ -188,23 +192,22 @@ class KleBasis:
         ends of [0, T]); np.sin of the float64 product pi (k - 1/2) t / T is
         off by 1.9e-12 and 2.9e-14 there.
 
-        The blocks are stored one after another, each as a contiguous
-        (_BLOCK, len(grid)) array: E is a Fortran-ordered view whose storage
-        runs on to the end of the last block, and the columns of a block are
-        the rows of one contiguous operand for ``reconstruct``.
+        E is the transpose of one C-ordered (d, len(grid)) array, so it
+        holds exactly d columns, and the columns of a block are the rows of
+        one contiguous operand for ``reconstruct``.
         """
         u = np.atleast_1d(self._check_time(grid)) / self.T
-        n_blocks = -(-self.d // _BLOCK)
-        anchors = _anchor_angles(u, _BLOCK * np.arange(n_blocks) + 0.5)
+        anchors = _anchor_angles(u, np.arange(0, self.d, _BLOCK) + 0.5)
         scale = math.sqrt(2.0 / self.T)
         sin_a, cos_a = scale * np.sin(anchors), scale * np.cos(anchors)
-        cos_p, sin_p = _rotations(None, np.pi * u, _BLOCK)
-        blocks = np.empty((n_blocks, _BLOCK, len(u)))
-        term = np.empty((_BLOCK, len(u)))
-        for b in range(n_blocks):
-            np.multiply(cos_p, sin_a[b], out=blocks[b])
-            blocks[b] += np.multiply(sin_p, cos_a[b], out=term)
-        return blocks.reshape(n_blocks * _BLOCK, len(u)).T[:, :self.d]
+        cos_p, sin_p = _rotations(None, np.pi * u, min(self.d, _BLOCK))
+        rows = np.empty((self.d, len(u)))
+        term = np.empty_like(cos_p)
+        for b, lo in enumerate(range(0, self.d, _BLOCK)):
+            block = rows[lo:lo + _BLOCK]
+            np.multiply(cos_p[:len(block)], sin_a[b], out=block)
+            block += np.multiply(sin_p[:len(block)], cos_a[b], out=term[:len(block)])
+        return rows.T
 
     def u_vector(self, t) -> np.ndarray:
         """The vector (u_1(t), ..., u_d(t)) at a time t in [0, T], shape (d,),
@@ -267,15 +270,14 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     it is built when not given.
 
     The sum runs over blocks of ``_BLOCK`` columns, added in block order:
-    S = sum_b W_b @ E_b^T, with W_b the block's weighted coefficients and
-    the last block zero-padded to ``_BLOCK`` columns (in W and, where the
-    matrix ends there, in E). Every product has the inner dimension
-    ``_BLOCK`` whatever d is, so the values do not depend on the number of
-    BLAS threads (tested), where one product with inner dimension d does at
-    d = 513 and 3000. A row of a batch of two or more paths does not depend
-    on the other rows, bit for bit; a batch of one takes BLAS's
-    matrix-vector route and may differ from such a row in the last bits
-    (5e-16 of sum |z_k| measured).
+    S = sum_b W_b @ E_b^T, with W_b the block's weighted coefficients, each
+    product at the block's own width (the last block may be narrower).
+    Every product's inner dimension is at most ``_BLOCK`` whatever d is, so
+    the values do not depend on the number of BLAS threads (tested), where
+    one product with inner dimension d does at d = 513 and 3000. A row of a
+    batch of two or more paths does not depend on the other rows, bit for
+    bit; a batch of one takes BLAS's matrix-vector route and may differ from
+    such a row in the last bits (5e-16 of sum |z_k| measured).
     """
     z = np.asarray(coeffs, dtype=float)
     d = basis.d
@@ -291,20 +293,14 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     rows = z.reshape(-1, d)
     if mode == "cesaro":
         rows = rows * (1.0 - np.arange(d) / d)
-    w_block = np.empty((len(rows), _BLOCK))
     product = np.empty((len(rows), len(tt)))
     values = np.zeros((len(rows), len(tt)))
     for lo in range(0, d, _BLOCK):
         hi = min(lo + _BLOCK, d)
-        w_block[:, :hi - lo] = rows[:, lo:hi]
-        w_block[:, hi - lo:] = 0.0
         # Every product takes its matrix operand as one C-ordered
-        # (_BLOCK, len(grid)) array: BLAS may round another layout of the
+        # (width, len(grid)) array: BLAS may round another layout of the
         # same numbers differently.
-        e_rows = emat[:, lo:lo + _BLOCK].T
-        if len(e_rows) < _BLOCK or not e_rows.flags.c_contiguous:
-            e_rows = np.concatenate((e_rows, np.zeros((_BLOCK - len(e_rows), len(tt)))))
-        values += np.matmul(w_block, e_rows, out=product)
+        values += np.matmul(rows[:, lo:hi], np.ascontiguousarray(emat[:, lo:hi].T), out=product)
     values += float(mean_rate) * tt
     if not np.all(np.isfinite(values)):
         raise ValueError("path values must be finite")

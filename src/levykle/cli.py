@@ -6,9 +6,9 @@ from a JSON config document and from flags, which override its fields;
 ``_FIELDS`` states each field's type, rule and flag once. All outputs are
 deterministic for a fixed config and seed, byte-identical regardless of the
 worker count and the BLAS thread count: samples are generated on per-index
-derived streams, paths are reconstructed by products of a fixed shape
-(``basis.reconstruct``) and aggregated in fixed chunk order with compensated
-summation.
+derived streams, paths are reconstructed by products of at most 64
+columns each (``basis.reconstruct``) and aggregated in fixed chunk order
+with compensated summation.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 on a
 configuration error (a bad command line, a negative seed or a dimension
@@ -35,18 +35,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import _BLOCK, _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
+from .basis import _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
 from .models import _CONFIG_KINDS, SplitModel, model_from_config
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
 # ``sample_coeffs_batch``.
-from .shotnoise import ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
+from .shotnoise import _CHUNK, ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
 from .special import build_e1_inverse, default_e1_inverse, exp_integral_e1
 from .validation import run_validation
 
 __all__ = ["ConfigError", "ExperimentConfig", "main"]
 
-_CHUNK = 512
 # d x d arrays of doubles that ``validation.moment_suite`` holds at its peak
 # (measured: 5.2 at d = 1500 with 100 samples, under tracemalloc).
 _MOMENT_SQUARES = 6
@@ -175,10 +174,14 @@ class ExperimentConfig:
             _checked(name, getattr(self, name))
 
     def build_model(self) -> SplitModel:
+        """The config's model; ``ConfigError`` if its parameters are out of
+        range or its eigenvalues overflow on [0, T] (``KleBasis`` refuses)."""
         try:
-            return model_from_config(self.model)
+            model = model_from_config(self.model)
+            KleBasis(T=self.T, d=1, alpha=model.alpha)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        return model
 
     def shot_config(self) -> ShotConfig:
         return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff)
@@ -272,10 +275,10 @@ def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, m
     chunk. The worker threads sample, reconstruct and reduce; at most
     ``workers + 1`` reduced chunks are held at once.
     """
-    # The eigenfunction matrix, grid x 64 ceil(d / 64), and workers + 1
-    # chunks of coefficient rows are held at once; the check comes before any.
+    # The eigenfunction matrix, grid x d, and workers + 1 chunks of
+    # coefficient rows are held at once; the check comes before any.
     d = max(cfg.d_list)
-    _check_memory(d, len(grid) * _BLOCK * -(-d // _BLOCK) + (cfg.workers + 1) * min(_CHUNK, cfg.n_paths) * d,
+    _check_memory(d, (len(grid) + (cfg.workers + 1) * min(_CHUNK, cfg.n_paths)) * d,
                   "the eigenfunction matrix and the samples held at once")
     shot = cfg.shot_config()
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}

@@ -82,18 +82,31 @@ def _check_conditions(density: Callable, side: str) -> None:
     # Condition A: large jumps square integrable (membership in the
     # square-integrable classes). Condition B: small jumps of finite
     # variation.
+    for what, integrand, window in (("large-jump second moment", lambda x: x * x * density(x), _LARGE_JUMP_WINDOW),
+                                    ("small-jump first moment", lambda x: x * density(x), _SMALL_JUMP_WINDOW)):
+        try:
+            value = quad(integrand, *window, rtol=_CONDITION_RTOL)
+        except QuadratureError as exc:
+            raise ModelConditionError(f"{side}: {what} did not converge") from exc
+        if not math.isfinite(value) or value > _CONDITION_BOUND:
+            raise ModelConditionError(f"{side}: {what} too large ({value!r})")
+
+
+def _moments(params: str, scale: float, rho: float, factor: float) -> tuple[float, float]:
+    """The variance rate factor scale / rho^2 and jump mean scale / rho of a
+    part with exponential decay rate rho.
+
+    ``ValueError``, naming the parameters as ``params``, unless both are
+    positive finite floats, which they are not if a parameter is not, nor
+    where rho^2 leaves float range.
+    """
     try:
-        big = quad(lambda x: x * x * density(x), *_LARGE_JUMP_WINDOW, rtol=_CONDITION_RTOL)
-    except QuadratureError as exc:
-        raise ModelConditionError(f"{side}: large-jump second moment did not converge") from exc
-    if not math.isfinite(big) or big > _CONDITION_BOUND:
-        raise ModelConditionError(f"{side}: large-jump second moment too large ({big!r})")
-    try:
-        small = quad(lambda x: x * density(x), *_SMALL_JUMP_WINDOW, rtol=_CONDITION_RTOL)
-    except QuadratureError as exc:
-        raise ModelConditionError(f"{side}: small-jump first moment did not converge") from exc
-    if not math.isfinite(small) or small > _CONDITION_BOUND:
-        raise ModelConditionError(f"{side}: small jumps not of finite variation ({small!r})")
+        alpha, jump_mean = factor * scale / rho**2, scale / rho
+    except ArithmeticError:
+        alpha = jump_mean = math.nan
+    if not (0.0 < alpha < math.inf and 0.0 < jump_mean < math.inf):
+        raise ValueError(f"{params} must be positive and finite, with a finite variance rate and jump mean")
+    return alpha, jump_mean
 
 
 @dataclass(frozen=True)
@@ -205,8 +218,7 @@ def make_gamma(c: float, rho: float) -> LevyModel:
     m = c / rho, the uncentered exponent is psi(z) = c log(1 - iz/rho), and
     alpha = c / rho^2.
     """
-    if not (0.0 < c < math.inf and 0.0 < rho < math.inf):
-        raise ValueError(f"c and rho must be positive and finite, got c={c!r}, rho={rho!r}")
+    alpha, jump_mean = _moments(f"gamma parameters c={c!r}, rho={rho!r}", c, rho, 1.0)
     c, rho = float(c), float(rho)
 
     def density(x, _c=c, _r=rho):
@@ -242,8 +254,8 @@ def make_gamma(c: float, rho: float) -> LevyModel:
     return LevyModel(
         name=f"gamma(c={c:g},rho={rho:g})",
         triple=triple,
-        alpha=c / rho**2,
-        jump_mean=c / rho,
+        alpha=alpha,
+        jump_mean=jump_mean,
         psi=psi,
         tail_pos=tail,
     )
@@ -256,8 +268,7 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
     at zero (finite activity) and inverts in closed form. The jump mean is
     rate / rho and alpha = 2 * rate / rho^2.
     """
-    if not (0.0 < rate < math.inf and 0.0 < rho < math.inf):
-        raise ValueError(f"rate and rho must be positive and finite, got rate={rate!r}, rho={rho!r}")
+    alpha, jump_mean = _moments(f"cp_exponential parameters rate={rate!r}, rho={rho!r}", rate, rho, 2.0)
     rate, rho = float(rate), float(rho)
 
     def density(x, _r=rate, _p=rho):
@@ -294,8 +305,8 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
     return LevyModel(
         name=f"cp_exponential(rate={rate:g},rho={rho:g})",
         triple=triple,
-        alpha=2.0 * rate / rho**2,
-        jump_mean=rate / rho,
+        alpha=alpha,
+        jump_mean=jump_mean,
         psi=psi,
         tail_pos=tail,
     )
@@ -459,10 +470,12 @@ def make_variance_gamma(
     if not all(0.0 < v < math.inf for v in (c_pos, rho_pos, c_neg, rho_neg)):
         raise ValueError("all variance gamma parameters must be positive and finite, got "
                          f"{(c_pos, rho_pos, c_neg, rho_neg)!r}")
+    # The parts first: they refuse a parameter beyond float range, which
+    # the name's format would not.
     return SplitModel(
-        name=f"variance_gamma({c_pos:g},{rho_pos:g},{c_neg:g},{rho_neg:g})",
         pos=make_gamma(c_pos, rho_pos),
         neg=make_gamma(c_neg, rho_neg),
+        name=f"variance_gamma({c_pos:g},{rho_pos:g},{c_neg:g},{rho_neg:g})",
         gaussian_sigma2=0.0,
     )
 

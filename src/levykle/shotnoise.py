@@ -97,6 +97,9 @@ PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
 _MAX_TERMS = 1_000_000
+# Samples per chunk: per part, one jump-size inversion and one ``shot_sum``
+# call; the CLI samples and reconstructs a chunk at a time.
+_CHUNK = 512
 # shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
 # tile, the row quantum of a piece's padded size, padded rows per batch and
 # per span of laid-out rows past d = 64, and rows per group of whole pieces
@@ -745,10 +748,10 @@ def _add_gaussian(rows: np.ndarray, scale: np.ndarray | None, seed: int, indices
 
 
 def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
-         start_index: int, chunk: int, keep: bool = False):
+         start_index: int, keep: bool = False):
     """The sampling kernel: ``(Z, n_pos, n_neg, kept)`` for consecutive indices.
 
-    Jump-size inversion and ``shot_sum`` run once per ``chunk`` samples and
+    Jump-size inversion and ``shot_sum`` run once per ``_CHUNK`` samples and
     part, on the chunk's flattened jumps, which is elementwise identical to
     each sample alone. With ``keep``, ``kept[i]`` maps each part label to
     the row's ``PartRecord``.
@@ -759,8 +762,8 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
     Z = np.zeros((n_samples, basis.d))
     counts = np.zeros((2, n_samples), dtype=np.int64)
     kept = [{} for _ in range(n_samples)] if keep else None
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
+    for lo in range(0, n_samples, _CHUNK):
+        hi = min(lo + _CHUNK, n_samples)
         idx = range(start_index + lo, start_index + hi)
         for label, sign, tail, stop, drift_a, drift in parts:
             gammas, uniforms, offsets = arrival_streams(cfg.seed, idx, (label,), stop, cfg.max_terms)
@@ -792,7 +795,7 @@ def sample_coeffs(
     reproduce E[Z_k^2] = lambda_k. The sample keeps its streams for
     ``extend_dimension``.
     """
-    Z, _, _, kept = _run(model, basis, cfg, 1, sample_index, 1, keep=True)
+    Z, _, _, kept = _run(model, basis, cfg, 1, sample_index, keep=True)
     return CoefficientSample(
         z=Z[0], seed=cfg.seed, sample_index=sample_index, T=basis.T, alpha=basis.alpha,
         sigma2=float(model.gaussian_sigma2), pos=kept[0].get(PART_POS), neg=kept[0].get(PART_NEG),
@@ -805,16 +808,14 @@ def sample_coeffs_batch(
     cfg: ShotConfig,
     n_samples: int,
     start_index: int = 0,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample ``n_samples`` coefficient vectors with consecutive sample indices.
 
     Returns ``(Z, n_pos, n_neg)`` where Z has shape (n_samples, d) and row i
-    is the sample with index ``start_index + i``; ``chunk`` sets how many
-    samples share one jump-size inversion and one ``shot_sum`` call, and
-    never changes the result.
+    is the sample with index ``start_index + i``, whatever the batch: how
+    the indices are split into calls never changes a row.
     """
-    Z, n_pos, n_neg, _ = _run(model, basis, cfg, n_samples, start_index, chunk)
+    Z, n_pos, n_neg, _ = _run(model, basis, cfg, n_samples, start_index)
     return Z, n_pos, n_neg
 
 

@@ -92,6 +92,22 @@ class TestEigenpairs:
         wide = KleBasis(T=1.5, d=3000, alpha=1.0).eigenfunction_matrix(grid)
         assert np.array_equal(KleBasis(T=1.5, d=d, alpha=1.0).eigenfunction_matrix(grid), wide[:, :d])
 
+    def test_matrix_holds_d_columns(self):
+        # The matrix is the transpose of one C-ordered (d, len(grid)) array,
+        # built from a ladder of min(d, 64) rungs: at d = 5 the build
+        # allocates a few arrays of d columns, not of 64 (4.2 MB when the
+        # last block was padded to 64 columns; about 0.45 MB now).
+        grid = np.linspace(0.0, 1.0, 2000)
+        basis = KleBasis(T=1.0, d=5, alpha=1.0)
+        tracemalloc.start()
+        try:
+            emat = basis.eigenfunction_matrix(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emat.shape == (2000, 5) and emat.T.flags.c_contiguous
+        assert peak < 8 * (5 * 2000 * 8)
+
     def test_time_bounds_enforced(self, unit_basis):
         for t in (1.5, -0.1):
             with pytest.raises(ValueError):
@@ -196,20 +212,22 @@ class TestReconstruct:
         assert np.allclose(values, 0.5 * grid, rtol=1e-14)
 
     def test_batch_rows_bitwise_equal_across_batches(self):
-        # Every product has inner dimension 64 and the blocks are added in
-        # order, so a row of a batch of two or more does not depend on the
-        # other rows, nor on a prebuilt matrix being wider than d. A batch of
-        # one takes BLAS's matrix-vector route: close, not bitwise.
+        # One product per block of at most 64 columns, added in block order,
+        # so a row of a batch of two or more does not depend on the other
+        # rows, nor on a prebuilt matrix being wider than d or C-ordered
+        # (its blocks are copied to C-ordered operands). A batch of one
+        # takes BLAS's matrix-vector route: close, not bitwise.
         rng = np.random.default_rng(11)
         grid = np.linspace(0.0, 1.0, 300)
         wide = KleBasis(T=1.0, d=3000, alpha=1.0)
         emat = wide.eigenfunction_matrix(grid)
         Z = rng.standard_normal((24, 3000)) / np.arange(1, 3001)
-        for d in (25, 65, 3000):
+        for d in (5, 25, 64, 65, 3000):
             b = KleBasis(T=1.0, d=d, alpha=1.0)
             batch = reconstruct(b, Z[:, :d], grid)
             assert batch.shape == (24, len(grid))
             assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=emat), batch)
+            assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=np.ascontiguousarray(emat)), batch)
             for lo in (0, 5, 22):
                 assert np.array_equal(reconstruct(b, Z[lo:lo + 2, :d], grid), batch[lo:lo + 2])
             for i in (0, 7):
@@ -261,6 +279,10 @@ class TestBasisValidation:
         dict(T=1.0, d=0, alpha=1.0),
         dict(T=1.0, d=3, alpha=-0.5),
         dict(T=math.inf, d=3, alpha=1.0),
+        # The first eigenvalue 4 alpha T^2 / pi^2 overflows; T^2 alone does
+        # in the second.
+        dict(T=1e10, d=3, alpha=1e308),
+        dict(T=1e200, d=3, alpha=1e-300),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -113,6 +113,20 @@ class TestConfig:
         "gamma-inf-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=inf"], "finite"),
         "cp-inf-rho": ("simulate-paths", ["--model", "cp_exponential", "--model-param", "rho=inf"], "finite"),
         "vg-nan-c-neg": ("validate", ["--model", "variance_gamma", "--model-param", "c_neg=nan"], "finite"),
+        # Parameters in float range whose variance rate or first eigenvalue
+        # is not used to end in a traceback with exit 1, the code of a
+        # failed validation check.
+        "gamma-tiny-rho": ("mc-mean", ["--model", "gamma", "--model-param", "rho=1e-200", "--n-paths", "2"],
+                           "variance rate"),
+        "vg-tiny-rho-neg": ("mc-mean", ["--model", "variance_gamma", "--model-param", "rho_neg=1e-170",
+                                        "--n-paths", "2"], "variance rate"),
+        "cp-tiny-rho": ("mc-mean", ["--model", "cp_exponential", "--model-param", "rho=1e-200", "--n-paths", "2"],
+                        "variance rate"),
+        "validate-cp-tiny-rho": ("validate", ["--model", "cp_exponential", "--model-param", "rho=1e-200"],
+                                 "variance rate"),
+        **{f"{command}-eigenvalue-overflow": (command, ["--model", "brownian", "--model-param", "sigma2=1e308",
+                                                        "-T", "1e10", "--n-paths", n_paths], "first eigenvalue")
+           for command, n_paths in (("mc-mean", "2"), ("simulate-paths", "1"), ("validate", "100"))},
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -397,10 +411,11 @@ class TestMcMean:
 class TestBlasThreads:
     # A BLAS product whose inner dimension is d, (n x d) @ (d x grid), can
     # change its last bits between one and two OpenBLAS threads (OpenBLAS
-    # 0.3.31 does at d = 513 and 3000); the reconstruction's products of
-    # inner dimension 64 must not. The subprocess prints one digest per
-    # output file and worker count, and one for a one-row batch, which BLAS
-    # computes by its matrix-vector route.
+    # 0.3.31 does at d = 513 and 3000); the reconstruction's products, one
+    # per block of at most 64 columns (a single one of width 5 at d = 5, a
+    # last one of width 1 at d = 65), must not. The subprocess prints one digest per output file and worker
+    # count, and one for a one-row batch, which BLAS computes by its
+    # matrix-vector route.
     SCRIPT = """
 import hashlib, sys, tempfile
 from pathlib import Path
@@ -415,7 +430,7 @@ with tempfile.TemporaryDirectory() as tmp:
         for workers in ("1", "2", "3"):
             out = Path(tmp) / command / workers
             assert main([command, "--model", "variance_gamma", "--seed", "3", "--n-paths", n_paths,
-                         "--d-list", "65,513,3000", "--output-dir", str(out), "--workers", workers]) == 0
+                         "--d-list", "5,65,513,3000", "--output-dir", str(out), "--workers", workers]) == 0
             for path in sorted(out.iterdir()):
                 print(workers, path.name, hashlib.sha256(path.read_bytes()).hexdigest(), file=sys.stderr)
 """
@@ -433,7 +448,7 @@ with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for fields in digests[0][1:]:
             files.setdefault(fields[0], {})[fields[1]] = fields[2]
-        assert len(files["1"]) == 3 + 3 * 3
+        assert len(files["1"]) == 4 + 4 * 3
         assert files["1"] == files["2"] == files["3"]
 
 

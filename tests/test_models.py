@@ -275,3 +275,14 @@ class TestFactoryParameters:
             params[i] = bad
             with pytest.raises(ValueError, match="positive and finite"):
                 factory(*params)
+
+    @pytest.mark.parametrize("factory", [make_gamma, make_cp_exponential])
+    @pytest.mark.parametrize("scale,rho", [(1.0, 1e-200), (1.0, 1e-170), (1.0, 1e200), (10**400, 1.0)])
+    def test_moments_beyond_float_range_rejected(self, factory, scale, rho):
+        # rho^2 vanishes or overflows, or the int scale has no float, so
+        # alpha = c / rho^2 (or 2 rate / rho^2) is not a positive finite
+        # float; refused before the checks' quadratures.
+        with pytest.raises(ValueError, match="finite variance rate and jump mean"):
+            factory(scale, rho)
+        with pytest.raises(ValueError, match="finite variance rate and jump mean"):
+            make_variance_gamma(c_neg=scale, rho_neg=rho)

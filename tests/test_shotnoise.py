@@ -40,6 +40,14 @@ def cp_centered():
     return center(make_cp_exponential(rate=3.0, rho=1.5))
 
 
+def _split_batch(model, basis, cfg, n, start, size):
+    """``sample_coeffs_batch`` over indices start .. start + n - 1 as calls
+    of ``size`` samples each, so each call is its own chunk; stacked."""
+    calls = [sample_coeffs_batch(model, basis, cfg, min(size, n - lo), start_index=start + lo)
+             for lo in range(0, n, size)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*calls))
+
+
 class TestStreams:
     def test_derive_rng_is_deterministic(self):
         a = derive_rng(7, 3, 0).standard_normal(4)
@@ -505,8 +513,8 @@ class TestBatchSampler:
     def test_batch_chunking_is_invisible(self, vg):
         basis = KleBasis(T=1.0, d=3, alpha=vg.alpha)
         cfg = ShotConfig(seed=8)
-        a, _, _ = sample_coeffs_batch(vg, basis, cfg, 25, chunk=4)
-        b, _, _ = sample_coeffs_batch(vg, basis, cfg, 25, chunk=512)
+        a, _, _ = _split_batch(vg, basis, cfg, 25, 0, 4)
+        b, _, _ = sample_coeffs_batch(vg, basis, cfg, 25)
         assert np.array_equal(a, b)
 
     def test_gaussian_part_variances(self):
@@ -589,7 +597,7 @@ class TestOneKernel:
         cfg = ShotConfig(seed=seed)
         basis = KleBasis(T=1.0, d=d, alpha=vg_gauss.alpha)
         wide = KleBasis(T=1.0, d=d + extra, alpha=vg_gauss.alpha)
-        Z, n_pos, n_neg = sample_coeffs_batch(vg_gauss, basis, cfg, 3, start_index=start, chunk=chunk)
+        Z, n_pos, n_neg = _split_batch(vg_gauss, basis, cfg, 3, start, chunk)
         for j in range(3):
             s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j)
             assert np.array_equal(Z[j], s.z)
@@ -600,11 +608,12 @@ class TestOneKernel:
 
     def test_batch_straddling_two_word_indices(self, vg_gauss):
         # Indices from 2^32 on take two uint32 words in the stream key, so a
-        # chunk across 2^32 derives its streams in two groups.
+        # chunk across 2^32 derives its streams in two groups; here the
+        # first of three chunks (calls) of 5 does.
         cfg = ShotConfig(seed=2**40 + 5)
         basis = KleBasis(T=1.0, d=7, alpha=vg_gauss.alpha)
         start = 2**32 - 3
-        Z, n_pos, n_neg = sample_coeffs_batch(vg_gauss, basis, cfg, 12, start_index=start, chunk=5)
+        Z, n_pos, n_neg = _split_batch(vg_gauss, basis, cfg, 12, start, 5)
         for j in range(12):
             s = sample_coeffs(vg_gauss, basis, cfg, sample_index=start + j)
             assert np.array_equal(Z[j], s.z)
@@ -617,7 +626,7 @@ class TestOneKernel:
         cp = as_split(make_cp_exponential(rate=0.3, rho=1.0))
         basis = KleBasis(T=1.0, d=130, alpha=cp.alpha)
         cfg = ShotConfig(seed=23)
-        Z, n_pos, _ = sample_coeffs_batch(cp, basis, cfg, 40, start_index=9, chunk=7)
+        Z, n_pos, _ = _split_batch(cp, basis, cfg, 40, 9, 7)
         assert 0 < np.count_nonzero(n_pos) < 40
         drift_only = basis.drift_vector(center(cp.pos).triple.a)
         assert np.array_equal(Z[n_pos == 0], np.broadcast_to(drift_only, Z[n_pos == 0].shape))
