@@ -49,7 +49,6 @@ from .shotnoise import (
 from .special import (
     MonotoneInverseTable,
     QuadratureError,
-    build_e1_inverse,
     default_e1_inverse,
     e1_inverse,
     exp_integral_e1,
@@ -75,7 +74,6 @@ __all__ = [
     "arrival_stream",
     "as_split",
     "brute_force_coeffs",
-    "build_e1_inverse",
     "center",
     "coeff_char_exponent",
     "default_e1_inverse",

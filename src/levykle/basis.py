@@ -50,6 +50,11 @@ __all__ = [
 
 # Columns per anchored block; fixed, so that no column depends on d.
 _BLOCK = 64
+# Rows of a reconstruction are multiplied in multiples of this many: BLAS
+# computes a lone row by its matrix-vector route and, on the AVX-512 host
+# measured, the rows past the last multiple of 4 by another kernel; both
+# round differently from the rows of a full batch.
+_ROW_QUANTUM = 16
 # Largest dimension: ``_anchor_angles`` is exact for k < 2^26, and the
 # zero-padded last tile of ``shotnoise.shot_sum`` reaches anchors up to 512
 # columns past d.
@@ -274,10 +279,12 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     product at the block's own width (the last block may be narrower).
     Every product's inner dimension is at most ``_BLOCK`` whatever d is, so
     the values do not depend on the number of BLAS threads (tested), where
-    one product with inner dimension d does at d = 513 and 3000. A row of a
-    batch of two or more paths does not depend on the other rows, bit for
-    bit; a batch of one takes BLAS's matrix-vector route and may differ from
-    such a row in the last bits (5e-16 of sum |z_k| measured).
+    one product with inner dimension d does at d = 513 and 3000. Zero rows
+    pad the batch to a multiple of ``_ROW_QUANTUM`` rows, so a row's values
+    do not depend on the other rows nor on how many there are, bit for bit,
+    as long as BLAS keeps to one kernel for the batch sizes compared; it
+    switches kernels with the product's size (at 64 columns and 50 grid
+    points, between 255 and 512 rows, on one AVX-512 host).
     """
     z = np.asarray(coeffs, dtype=float)
     d = basis.d
@@ -291,6 +298,9 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     elif emat.shape[0] != len(tt) or emat.shape[1] < d:
         raise ValueError(f"eigenfunction matrix has shape {emat.shape}, expected ({len(tt)}, >= {d})")
     rows = z.reshape(-1, d)
+    n = len(rows)
+    if n % _ROW_QUANTUM:
+        rows = np.concatenate((rows, np.zeros((-n % _ROW_QUANTUM, d))))
     if mode == "cesaro":
         rows = rows * (1.0 - np.arange(d) / d)
     product = np.empty((len(rows), len(tt)))
@@ -301,6 +311,7 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
         # (width, len(grid)) array: BLAS may round another layout of the
         # same numbers differently.
         values += np.matmul(rows[:, lo:hi], np.ascontiguousarray(emat[:, lo:hi].T), out=product)
+    values = values[:n]
     values += float(mean_rate) * tt
     if not np.all(np.isfinite(values)):
         raise ValueError("path values must be finite")

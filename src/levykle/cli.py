@@ -29,19 +29,20 @@ import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import _MAX_DIMENSION, KleBasis, reconstruct, variance_capture
+from .basis import _MAX_DIMENSION, _ROW_QUANTUM, KleBasis, reconstruct, variance_capture
 from .models import _CONFIG_KINDS, SplitModel, model_from_config
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
 # ``sample_coeffs_batch``.
 from .shotnoise import _CHUNK, ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
-from .special import build_e1_inverse, default_e1_inverse, exp_integral_e1
+from .special import default_e1_inverse, exp_integral_e1
 from .validation import run_validation
 
 __all__ = ["ConfigError", "ExperimentConfig", "main"]
@@ -49,6 +50,11 @@ __all__ = ["ConfigError", "ExperimentConfig", "main"]
 # d x d arrays of doubles that ``validation.moment_suite`` holds at its peak
 # (measured: 5.2 at d = 1500 with 100 samples, under tracemalloc).
 _MOMENT_SQUARES = 6
+# (chunk x grid) arrays of doubles per chunk and dimension that ``mc-mean``
+# and ``simulate-paths`` hold at their peak: each dimension's paths, plus
+# one product or square at a time (measured: 2.15 at one dimension and 1.6
+# per dimension at two, for one 512-path chunk under tracemalloc).
+_PATH_ARRAYS = 2
 
 
 class ConfigError(ValueError):
@@ -216,11 +222,36 @@ def _csv_column(values: np.ndarray) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+@contextmanager
+def _writing(path):
+    """Report an ``OSError`` while writing ``path`` as a ``ConfigError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
     """One row per element of the ``_csv_column`` formatted columns, in one write."""
     rows = map(",".join, zip(*columns))
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(header + "\n" + "".join(row + "\n" for row in rows))
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """``cfg.output_dir``, created if missing, before any sampling.
+
+    ``ConfigError`` if it cannot be created, or if the directory part of
+    ``cfg.prefix`` names no directory in it.
+    """
+    out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    if not (out / f"{cfg.prefix}_").parent.is_dir():
+        raise ConfigError(f"prefix {cfg.prefix!r} names no directory under {out}")
+    return out
 
 
 def _physical_memory() -> int | None:
@@ -276,10 +307,12 @@ def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, m
     ``workers + 1`` reduced chunks are held at once.
     """
     # The eigenfunction matrix, grid x d, and workers + 1 chunks of
-    # coefficient rows are held at once; the check comes before any.
+    # coefficient rows and of paths (padded to whole row quanta) are held at
+    # once; the check comes before any.
     d = max(cfg.d_list)
-    _check_memory(d, (len(grid) + (cfg.workers + 1) * min(_CHUNK, cfg.n_paths)) * d,
-                  "the eigenfunction matrix and the samples held at once")
+    rows = (cfg.workers + 1) * -(-min(_CHUNK, cfg.n_paths) // _ROW_QUANTUM) * _ROW_QUANTUM
+    _check_memory(d, len(grid) * d + rows * d + _PATH_ARRAYS * rows * len(grid) * len(cfg.d_list),
+                  "the eigenfunction matrix, the samples and the paths held at once")
     shot = cfg.shot_config()
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
     basis_max = bases[max(cfg.d_list)]
@@ -296,11 +329,10 @@ def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, m
 def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
     """Write one ``t,value`` CSV per (dimension, path index), a chunk at a time."""
     model = cfg.build_model()
+    out = _output_dir(cfg)
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
     grid_text = _csv_column(grid)
     chunks = _sampled_paths(cfg, model, grid, model.mean_rate, lambda lo, paths: (lo, paths))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for lo, paths in chunks:
         for d, values in paths.items():
             for i, row in enumerate(values, start=lo):
@@ -334,6 +366,7 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
     if cfg.n_paths < 2:
         raise ConfigError(f"mc-mean needs at least 2 paths for a standard error, got {cfg.n_paths}")
     model = cfg.build_model()
+    out_dir = _output_dir(cfg)
     grid = np.linspace(0.0, cfg.T, cfg.grid_n)
     n = cfg.n_paths
 
@@ -347,8 +380,6 @@ def cmd_mc_mean(cfg: ExperimentConfig) -> int:
         for d, chunk_sums in stats.items():
             sums[d].add(chunk_sums)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     expected = model.mean_rate * grid
     for d in cfg.d_list:
         # The stochastic part averages to zero; the deterministic ramp is
@@ -370,6 +401,8 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
     """Run the validation suites and emit the JSON report."""
     if cfg.n_paths < 100:
         raise ConfigError(f"validate needs at least 100 paths, got {cfg.n_paths}")
+    if out_path and not Path(out_path).parent.is_dir():
+        raise ConfigError(f"cannot write report {out_path}: no such directory")
     model = cfg.build_model()
     # The suites take every sample at once; the moment suite's correlations,
     # second moments and their SE are d x d.
@@ -380,7 +413,8 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
                             cfg=cfg.shot_config())
     text = json.dumps(report, indent=2)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        with _writing(out_path):
+            Path(out_path).write_text(text + "\n")
     else:
         print(text)
     for check in report["checks"]:
@@ -401,22 +435,17 @@ def cmd_variance_capture(d_list) -> int:
 def cmd_e1_table(args: argparse.Namespace) -> int:
     """Dump the E1 inverse table to CSV or npz, or load and verify one.
 
-    A domain E1 cannot reach, an unwritable destination and an unreadable or
-    malformed table file are configuration errors.
+    An unwritable destination and an unreadable or malformed table file are
+    configuration errors.
     """
     if args.action == "dump":
         dest = Path(args.path)
-        try:
-            custom = {key: value for key, value in (
-                ("domain_lo", args.lo), ("domain_hi", args.hi), ("n_points", args.points),
-                ("spacing_bound", args.spacing_bound)) if value is not None}
-            table = build_e1_inverse(**custom) if custom else default_e1_inverse()
-            if dest.suffix == ".npz":
+        table = default_e1_inverse()
+        if dest.suffix == ".npz":
+            with _writing(dest):
                 np.savez(dest, x=table.values, e1=table.breakpoints)
-            else:
-                _write_csv(dest, "x,E1(x)", [_csv_column(table.values), _csv_column(table.breakpoints)])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot dump table to {dest}: {exc}") from exc
+        else:
+            _write_csv(dest, "x,E1(x)", [_csv_column(table.values), _csv_column(table.breakpoints)])
         print(f"wrote {len(table.values)} rows to {dest}")
         return 0
     src = Path(args.path)
@@ -470,14 +499,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance-capture", help="print captured variance per dimension")
     p.add_argument("d_values", nargs="+", type=int, metavar="D")
 
-    p = sub.add_parser("e1-table", help="dump or load the exponential-integral inverse table")
+    p = sub.add_parser("e1-table", help="dump the exponential-integral inverse table (200000 points on "
+                                        "E1 values 6.226e-22 .. 45.47), or load and check a dumped one")
     p.add_argument("action", choices=["dump", "load"])
     p.add_argument("path", help="CSV (x,E1(x)) or .npz file")
-    p.add_argument("--points", type=int, help="table size for a custom build (default 200000)")
-    p.add_argument("--lo", type=float, help="lower y-domain for a custom build (default 6.226e-22)")
-    p.add_argument("--hi", type=float, help="upper y-domain for a custom build (default 45.47)")
-    p.add_argument("--spacing-bound", type=float, dest="spacing_bound",
-                   help="maximum allowed gap between tabulated E1 values (default 0.00231)")
     return parser
 
 

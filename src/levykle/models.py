@@ -15,8 +15,10 @@ difference of two independent positive-jump parts plus an optional Brownian
 component, with the removed mean rate stored for deterministic re-centering.
 
 Integrability of the jump measure (square integrability of large jumps and
-finite variation of small jumps) is checked numerically when a model is
-built; a model failing the check is rejected.
+finite variation of small jumps) is checked when a model is built, and a
+model failing it is rejected: exactly for the closed-form families, whose
+variance rate and jump mean must be finite, and numerically for
+``from_density``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ __all__ = [
 PART_POS = 0
 PART_NEG = 1
 
-# Numeric windows for the registration-time integrability checks.
+# Numeric windows for from_density's integrability checks.
 _SMALL_JUMP_WINDOW = (1e-10, 1.0)
 _LARGE_JUMP_WINDOW = (1.0, 1e6)
 _CONDITION_RTOL = 1e-8
@@ -75,7 +77,7 @@ _DENSITY_TABLE_POINTS = 4000
 
 
 class ModelConditionError(ValueError):
-    """A candidate model failed a numeric integrability check at registration."""
+    """A ``from_density`` model failed a numeric integrability check."""
 
 
 def _check_conditions(density: Callable, side: str) -> None:
@@ -96,9 +98,11 @@ def _moments(params: str, scale: float, rho: float, factor: float) -> tuple[floa
     """The variance rate factor scale / rho^2 and jump mean scale / rho of a
     part with exponential decay rate rho.
 
-    ``ValueError``, naming the parameters as ``params``, unless both are
-    positive finite floats, which they are not if a parameter is not, nor
-    where rho^2 leaves float range.
+    Their finiteness is exactly the integrability of the part's jump
+    measure: square-integrable large jumps and small jumps of finite
+    variation. ``ValueError``, naming the parameters as ``params``, unless
+    both are positive finite floats, which they are not if a parameter is
+    not, nor where rho^2 leaves float range.
     """
     try:
         alpha, jump_mean = factor * scale / rho**2, scale / rho
@@ -237,8 +241,6 @@ def make_gamma(c: float, rho: float) -> LevyModel:
             return 0.0
         return (_c / _r) * math.exp(-_r * float(_gi(Y)))
 
-    _check_conditions(density, "gamma")
-
     def psi(z, _c=c, _r=rho):
         return _c * np.log(1.0 - 1j * np.asarray(z) / _r)
 
@@ -287,8 +289,6 @@ def make_cp_exponential(rate: float, rho: float) -> LevyModel:
         if Yc <= 0.0:
             return 0.0
         return (Yc / _p) * (1.0 + math.log(_r / Yc))
-
-    _check_conditions(density, "cp_exponential")
 
     def psi(z, _r=rate, _p=rho):
         z = np.asarray(z)

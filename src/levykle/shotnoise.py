@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .basis import _BLOCK, KleBasis, _anchor_angles, _doubled_steps, _ladder, _rotations
+from .basis import _BLOCK, _ROW_QUANTUM, KleBasis, _anchor_angles, _doubled_steps, _ladder, _rotations
 from .models import PART_NEG, PART_POS, SplitModel, TailIntegral, center
 
 __all__ = [
@@ -101,13 +101,13 @@ _MAX_TERMS = 1_000_000
 # call; the CLI samples and reconstructs a chunk at a time.
 _CHUNK = 512
 # shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
-# tile, the row quantum of a piece's padded size, padded rows per batch and
-# per span of laid-out rows past d = 64, and rows per group of whole pieces
-# at d <= 64; fixed, so that no column depends on d or the chunk. The batch
-# and span sizes were chosen with two worker threads (see ``_add_batches``).
+# tile, padded rows per batch and per span of laid-out rows past d = 64, and
+# rows per group of whole pieces at d <= 64; fixed, so that no column depends
+# on d or the chunk (a piece's padded size is a multiple of ``_ROW_QUANTUM``,
+# as a reconstruction's rows are). The batch and span sizes were chosen with
+# two worker threads (see ``_add_batches``).
 _ROW_BUDGET = 512
 _TILE = 8
-_ROW_QUANTUM = 16
 _BATCH_ROWS = 1024
 _SPAN_ROWS = 8192
 _HEAD_ROWS = 4096

@@ -13,15 +13,20 @@ This module provides the numerical kernel shared by the rest of the package:
   cubic is evaluated by Horner's rule on per-interval coefficients. Both are
   derived from the table at construction: the default E1 table gets 487705
   cells and one pass, and holds 6.8 MB beside its 3.2 MB of points.
-* ``build_e1_inverse`` -- the table for the inverse of ``E1``.
+* ``default_e1_inverse`` -- the one table for the inverse of ``E1``, on the
+  fixed domain ``[6.226e-22, 45.47]`` that the gamma samplers' truncation
+  level sets; its end abscissae are constants, so building it finds no
+  roots.
 * ``e1_inverse`` -- the inverse of ``E1``, the workhorse behind jump-size
   generation for gamma-type tail integrals: the closed form
   ``x0 (1 + x0)``, ``x0 = exp(-gamma_E - y)``, for ``y >= 20`` (about 56% of
   a gamma sampler's arguments, which are uniform on ``(0, 45.47]``), and the
-  default table below that.
+  table below that.
 * ``quad`` -- adaptive quadrature with componentwise complex support, used by
-  the oracles, and ``quad_vector``, one adaptive quadrature of a whole
-  vector of integrands, used by the characteristic-exponent oracle.
+  the oracles and ``models.from_density``, and ``quad_vector``, one adaptive
+  quadrature of a whole vector of integrands, used by the
+  characteristic-exponent oracle. Both import ``scipy.integrate`` when first
+  called, so sampling a closed-form model never loads it.
 
 All objects here are pure after construction; tables are immutable and may be
 shared freely across threads or processes.
@@ -35,26 +40,26 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 import scipy.special
 
 __all__ = [
     "QuadratureError",
     "MonotoneInverseTable",
     "exp_integral_e1",
-    "build_e1_inverse",
     "default_e1_inverse",
     "e1_inverse",
     "quad",
     "quad_vector",
 ]
 
-# Defaults for the E1 inverse table: y-domain endpoints and point count of
-# the reference configuration (E1(45) ~ 6.226e-22, E1(1e-20) ~ 45.47).
+# The E1 inverse table: its y-domain, which the gamma samplers' truncation
+# level 45.47 T c sets (E1(45) ~ 6.226e-22, E1(1e-20) ~ 45.47), and its
+# point count.
 E1_TABLE_DOMAIN = (6.226e-22, 45.47)
 E1_TABLE_POINTS = 200_000
-E1_TABLE_SPACING_BOUND = 0.00231
+# The table's largest abscissa, the x with E1(x) = 6.226e-22 to 1.5e-13
+# relative (a root found once by Brent's method in log x).
+E1_TABLE_X_HI = float.fromhex("0x1.67ffe6845e132p+5")
 
 # From this argument on, ``e1_inverse`` is the closed form x0 (1 + x0) with
 # x0 = exp(-gamma_E - y). E1(x) = -gamma_E - ln x + x - x^2/4 + ..., so the
@@ -331,57 +336,35 @@ class MonotoneInverseTable:
         return out.reshape(arr.shape)
 
 
-def _e1_root(y: float) -> float:
-    """The ``x`` in ``[1e-300, 1e3]`` with ``E1(x) = y``.
-
-    Brent's method runs in ``log x``: the interval spans 303 decades and needs
-    relative, not absolute, resolution near zero.
-    """
-    lo, hi = math.log(1e-300), math.log(1e3)
-    f = lambda u: exp_integral_e1(math.exp(u)) - y
-    if not f(hi) <= 0.0 <= f(lo):
-        raise ValueError(f"E1 does not take the value {y!r} on [1e-300, 1e3]")
-    return math.exp(scipy.optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+def _e1_inverse_far(y):
+    """``x0 (1 + x0)``, ``x0 = exp(-gamma_E - y)``: the inverse of ``E1`` at
+    ``y >= E1_SERIES_FROM``, for an array or a float."""
+    x0 = np.exp(-np.euler_gamma - y)
+    return x0 * (1.0 + x0)
 
 
-def build_e1_inverse(
-    domain_lo: float = E1_TABLE_DOMAIN[0],
-    domain_hi: float = E1_TABLE_DOMAIN[1],
-    n_points: int = E1_TABLE_POINTS,
-    spacing_bound: float | None = E1_TABLE_SPACING_BOUND,
-) -> MonotoneInverseTable:
-    """Build a lookup table for the inverse of ``E1`` on ``[domain_lo, domain_hi]``.
+@functools.lru_cache(maxsize=1)
+def default_e1_inverse() -> MonotoneInverseTable:
+    """The table for the inverse of ``E1`` on ``E1_TABLE_DOMAIN``, built once per process.
 
-    Abscissae are log-spaced in ``x`` (hence unevenly spaced in ``y``); each
-    evaluation interpolates locally (cubic) and applies one Newton polish
-    through the forward ``E1``. The endpoint abscissae are root finds of
-    ``E1(x) = y`` in ``log x`` over ``[1e-300, 1e3]``. The default configuration
-    covers ``[6.226e-22, 45.47]`` with 200000 points, keeping adjacent
-    ``y``-gaps below 0.00231.
+    ``E1_TABLE_POINTS`` abscissae, log-spaced in ``x`` (hence unevenly spaced
+    in ``y``, with gaps below 0.00231) from ``E1_TABLE_X_HI`` down to the
+    closed-form inverse of ``domain_hi``; each evaluation interpolates
+    locally (cubic) and applies one Newton polish through the forward
+    ``E1``. The end ordinates are set to the domain itself, so the closed
+    interval can be queried without falling into the clamps.
 
     Raises
     ------
-    ValueError
-        If the domain is empty or outside the range of ``E1`` on
-        ``[1e-300, 1e3]``, if the requested spacing bound cannot be honored,
-        or if a roundtrip spot check fails at the 1e-9 level.
+    RuntimeError
+        If a 62-point roundtrip spot check misses at the 1e-9 level.
     """
-    if not (0.0 < domain_lo < domain_hi):
-        raise ValueError("require 0 < domain_lo < domain_hi")
-    if n_points < _STENCIL:
-        raise ValueError(f"n_points must be at least {_STENCIL}")
-    x_hi = _e1_root(domain_lo)
-    x_lo = _e1_root(domain_hi)
-    xs = np.logspace(math.log10(x_hi), math.log10(x_lo), n_points)
+    domain_lo, domain_hi = E1_TABLE_DOMAIN
+    x_hi, x_lo = E1_TABLE_X_HI, float(_e1_inverse_far(domain_hi))
+    xs = np.logspace(math.log10(x_hi), math.log10(x_lo), E1_TABLE_POINTS)
     xs[0], xs[-1] = x_hi, x_lo
     ys = exp_integral_e1(xs)
-    # Nudge the endpoint ordinates onto the requested domain so callers can
-    # query the advertised closed interval without falling into the clamps.
     ys[0], ys[-1] = domain_lo, domain_hi
-    if spacing_bound is not None:
-        gap = float(np.max(np.diff(ys)))
-        if gap > spacing_bound:
-            raise ValueError(f"breakpoint spacing {gap:.6g} exceeds bound {spacing_bound:.6g}")
     table = MonotoneInverseTable(
         breakpoints=ys,
         values=xs,
@@ -391,14 +374,8 @@ def build_e1_inverse(
     probe_x = np.logspace(math.log10(x_lo), math.log10(x_hi), 64)[1:-1]
     err = np.abs(table(exp_integral_e1(probe_x)) - probe_x)
     if np.any(err > 1e-9 * np.maximum(1.0, probe_x)):
-        raise ValueError("E1 not resolvable to tolerance on the requested domain")
+        raise RuntimeError("the E1 inverse table fails its roundtrip spot check")
     return table
-
-
-@functools.lru_cache(maxsize=1)
-def default_e1_inverse() -> MonotoneInverseTable:
-    """Shared reference table for the inverse of ``E1``, built once per process."""
-    return build_e1_inverse()
 
 
 def e1_inverse(y):
@@ -423,12 +400,14 @@ def e1_inverse(y):
     far, near = np.flatnonzero(series), np.flatnonzero(~series)
     out = np.empty(flat.shape)
     out.put(near, table(flat.take(near)))
-    x0 = np.exp(-np.euler_gamma - flat.take(far))
-    out.put(far, x0 * (1.0 + x0))
+    out.put(far, _e1_inverse_far(flat.take(far)))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _quad_real(f, a, b, rtol, atol):
+    # Imported here: sampling never integrates, so it need not load scipy.integrate.
+    import scipy.integrate
+
     val, err, info, *rest = scipy.integrate.quad(
         f, a, b, epsabs=atol, epsrel=rtol, limit=_QUAD_LIMIT, full_output=1
     )
@@ -472,6 +451,8 @@ def quad_vector(f: Callable, a: float, b: float, rtol: float):
     :class:`QuadratureError` is raised carrying the best estimate and the
     error bound.
     """
+    import scipy.integrate
+
     val, err, info = scipy.integrate.quad_vec(
         f, a, b, epsabs=1e-12, epsrel=rtol, limit=_QUAD_LIMIT, full_output=True
     )

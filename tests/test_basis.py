@@ -213,10 +213,10 @@ class TestReconstruct:
 
     def test_batch_rows_bitwise_equal_across_batches(self):
         # One product per block of at most 64 columns, added in block order,
-        # so a row of a batch of two or more does not depend on the other
-        # rows, nor on a prebuilt matrix being wider than d or C-ordered
-        # (its blocks are copied to C-ordered operands). A batch of one
-        # takes BLAS's matrix-vector route: close, not bitwise.
+        # with the rows padded to a multiple of 16, so a row does not depend
+        # on the other rows nor on their number, not even alone (BLAS's
+        # matrix-vector route), nor on a prebuilt matrix being wider than d
+        # or C-ordered (its blocks are copied to C-ordered operands).
         rng = np.random.default_rng(11)
         grid = np.linspace(0.0, 1.0, 300)
         wide = KleBasis(T=1.0, d=3000, alpha=1.0)
@@ -228,12 +228,14 @@ class TestReconstruct:
             assert batch.shape == (24, len(grid))
             assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=emat), batch)
             assert np.array_equal(reconstruct(b, Z[:, :d], grid, emat=np.ascontiguousarray(emat)), batch)
-            for lo in (0, 5, 22):
-                assert np.array_equal(reconstruct(b, Z[lo:lo + 2, :d], grid), batch[lo:lo + 2])
-            for i in (0, 7):
+            for lo, n in ((0, 2), (5, 2), (22, 2), (3, 3), (1, 5), (4, 17)):
+                assert np.array_equal(reconstruct(b, Z[lo:lo + n, :d], grid), batch[lo:lo + n])
+            for i in (0, 7, 23):
                 single = reconstruct(b, Z[i, :d], grid)
                 assert single.shape == grid.shape
-                assert np.max(np.abs(single - batch[i])) <= 1e-14 * np.sum(np.abs(Z[i, :d]))
+                assert np.array_equal(single, batch[i])
+                assert np.array_equal(reconstruct(b, Z[i, :d], grid, "cesaro", 0.5),
+                                      reconstruct(b, Z[:, :d], grid, "cesaro", 0.5)[i])
 
     def test_batch_cesaro_and_mean_rate(self):
         b = KleBasis(T=2.0, d=130, alpha=1.0)

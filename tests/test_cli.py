@@ -240,14 +240,25 @@ class TestConfig:
         assert out.startswith("usage:") and all(entry.flag in out for entry in cli._FIELDS.values())
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats takes about half a second to import; only validate's KS
-    # checks use it, so no command pays for it at start-up.
+    # checks use it, so no command pays for it at start-up. Sampling neither
+    # finds roots nor integrates, so a small mc-mean and simulate-paths
+    # leave scipy.optimize and scipy.integrate out as well.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", "import sys, levykle.cli; print('scipy.stats' in sys.modules)"],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert run.stdout.strip() == "False"
+    script = (
+        "import sys, levykle.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "for command in ('mc-mean', 'simulate-paths'):\n"
+        "    assert levykle.cli.main([command, '--n-paths', '3', '--d-list', '2,70', '--grid-n', '4',\n"
+        f"                             '--output-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(*(name in sys.modules for name in ('scipy.stats', 'scipy.optimize', 'scipy.integrate')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.splitlines()[0] == "False"
+    assert run.stdout.splitlines()[-1] == "False False False"
 
 
 class TestVarianceCapture:
@@ -296,6 +307,18 @@ class TestSimulatePaths:
             # same coefficients regardless of how far the d-list extends
             assert small == read(tmp_path / f"y_path_d4_p{i}.csv")
         assert (tmp_path / "y_path_d16_p0.csv").exists()
+
+    def test_file_does_not_depend_on_n_paths(self, tmp_path):
+        # A lone row and the rows past a multiple of BLAS's row unroll would
+        # take other kernels and round differently, at d <= 64 and past it.
+        files = {}
+        for n in (1, 2, 3, 5):
+            out = tmp_path / f"n{n}"
+            assert main(["simulate-paths", "--seed", "7", "--grid-n", "50", "--d-list", "5,25,65",
+                         "--n-paths", str(n), "--output-dir", str(out)]) == 0
+            files[n] = {p.name: p.read_bytes() for p in out.iterdir()}
+        for n in (1, 2, 3):
+            assert files[n] == {name: files[5][name] for name in files[n]}, n
 
     def test_path_starts_at_zero(self, tmp_path):
         assert main(["simulate-paths", "--model", "gamma", "--seed", "1",
@@ -379,6 +402,17 @@ class TestMcMean:
         assert "4.547e+06" in err and "max_terms=1000000" in err and "0 drawn" in err
         assert not list(tmp_path.iterdir())
 
+    def test_huge_rate_exits_three_not_two(self, tmp_path, capsys):
+        # gamma(c=1e13) is a valid model (alpha = 1e13): only its series
+        # length, 4.547e14 terms, is out of reach.
+        rc = main(["mc-mean", "--model", "gamma", "--model-param", "c=1e13",
+                   "--n-paths", "2", "--d-list", "3", "--grid-n", "3",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation level 4.547e+14 needs more than max_terms=1000000")
+        assert err.count("\n") == 1
+
     def test_memory_estimate_exits_three_before_sampling(self, tmp_path, monkeypatch, capsys):
         # d = 1e7 needs about 16 GB for a 200-point eigenfunction matrix and
         # 41 GB per 512-sample chunk; with the physical memory read as 1 GiB
@@ -400,6 +434,19 @@ class TestMcMean:
         assert "d x d" in err and "1 GiB of physical memory" in err
         assert not list(tmp_path.iterdir())
 
+    def test_memory_estimate_counts_the_paths(self, tmp_path, monkeypatch, capsys):
+        # Two 512 x 20000 path arrays are 164 MB, where the matrix and the
+        # samples are under 1 MB; with the physical memory read as 16 MiB
+        # the run stops with one line before sampling.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**24)
+        rc = main(["mc-mean", "--grid-n", "20000", "--n-paths", "512", "--d-list", "5",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "paths held at once" in err and "0.0156 GiB of physical memory" in err
+        assert not list(tmp_path.iterdir())
+
     def test_cesaro_mode_runs(self, tmp_path):
         assert main(["mc-mean", "--model", "brownian", "--mode", "cesaro",
                      "--seed", "5", "--n-paths", "50", "--d-list", "4",
@@ -413,9 +460,9 @@ class TestBlasThreads:
     # change its last bits between one and two OpenBLAS threads (OpenBLAS
     # 0.3.31 does at d = 513 and 3000); the reconstruction's products, one
     # per block of at most 64 columns (a single one of width 5 at d = 5, a
-    # last one of width 1 at d = 65), must not. The subprocess prints one digest per output file and worker
-    # count, and one for a one-row batch, which BLAS computes by its
-    # matrix-vector route.
+    # last one of width 1 at d = 65), must not. The subprocess prints one
+    # digest per output file and worker count, and one for a one-row batch
+    # (zero-padded to 16 rows, as every batch is).
     SCRIPT = """
 import hashlib, sys, tempfile
 from pathlib import Path
@@ -450,6 +497,45 @@ with tempfile.TemporaryDirectory() as tmp:
             files.setdefault(fields[0], {})[fields[1]] = fields[2]
         assert len(files["1"]) == 4 + 4 * 3
         assert files["1"] == files["2"] == files["3"]
+
+
+class TestUnwritableOutputs:
+    """An output that cannot be written is one configuration error line,
+    found before any sampling."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before checking the outputs")
+        monkeypatch.setattr(cli, "sample_coeffs_batch", fail)
+        monkeypatch.setattr(cli, "run_validation", fail)
+
+    CASES = {
+        "output-dir-is-a-file": ("mc-mean", lambda d: ["--output-dir", str(d / "file")]),
+        "prefix-in-missing-directory": ("mc-mean", lambda d: ["--output-dir", str(d), "--prefix", "a/b"]),
+        "paths-output-dir-is-a-file": ("simulate-paths", lambda d: ["--output-dir", str(d / "file")]),
+        "report-in-missing-directory": ("validate", lambda d: ["--report", str(d / "missing" / "r.json")]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_two_before_sampling(self, tmp_path, capsys, no_sampling, case):
+        (tmp_path / "file").write_text("")
+        command, flags = self.CASES[case]
+        rc = main([command, "--n-paths", "100", "--d-list", "2", "--grid-n", "3", *flags(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_write_error_after_sampling_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # A destination that passes the checks but cannot be written.
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        rc = main(["mc-mean", "--n-paths", "2", "--d-list", "2", "--grid-n", "3", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Permission denied" in err and err.count("\n") == 1
 
 
 class TestValidate:
@@ -498,17 +584,6 @@ class TestE1Table:
         assert np.array_equal(data["e1"], table.breakpoints)
         assert main(["e1-table", "load", str(dest)]) == 0
 
-    def test_custom_build_with_tight_domain(self, tmp_path):
-        dest = tmp_path / "small.csv"
-        assert main(["e1-table", "dump", str(dest), "--points", "4000",
-                     "--lo", "0.1", "--hi", "10.0", "--spacing-bound", "0.004"]) == 0
-        assert main(["e1-table", "load", str(dest)]) == 0
-
-    def test_violating_spacing_bound_is_config_error(self, tmp_path):
-        rc = main(["e1-table", "dump", str(tmp_path / "bad.csv"),
-                   "--points", "50", "--lo", "0.1", "--hi", "10.0"])
-        assert rc == 2
-
     def test_load_missing_file_is_config_error(self, tmp_path):
         assert main(["e1-table", "load", str(tmp_path / "nope.csv")]) == 2
 
@@ -520,7 +595,11 @@ class TestE1Table:
         "header-only": ("load", "t.csv", "x,E1(x)\n", []),
         "not-an-npz-archive": ("load", "t.npz", "plain text\n", []),
         "missing-directory": ("dump", "missing/t.csv", None, []),
-        "domain-beyond-e1-range": ("dump", "t.csv", None, ["--hi", "1000"]),
+        "missing-directory-npz": ("dump", "missing/t.npz", None, []),
+        # The table is fixed: its former build flags are unknown flags.
+        "removed-flag-hi": ("dump", "t.csv", None, ["--hi", "1000"]),
+        "removed-flag-spacing-bound": ("dump", "t.csv", None, ["--points", "50", "--lo", "0.1", "--hi", "10.0",
+                                                              "--spacing-bound", "0.004"]),
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))

@@ -55,6 +55,13 @@ class TestGamma:
         assert g.mean_rate == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert not math.isfinite(g.tail_pos.g0)
 
+    def test_large_second_moment_builds(self):
+        # c / rho^2 = 3e14 is finite, so the jump measure is square
+        # integrable; no numeric window or bound refuses it.
+        g = make_gamma(3.0, 1e-7)
+        assert g.alpha == pytest.approx(3e14, rel=1e-14)
+        assert g.mean_rate == pytest.approx(3e7, rel=1e-14)
+
     def test_tail_is_scaled_e1(self):
         g = make_gamma(1.5, 2.0)
         for x in (0.01, 0.3, 1.0, 4.0):

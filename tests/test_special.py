@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from levykle.models import from_density
 from levykle.special import (
     E1_SERIES_FROM,
+    E1_TABLE_DOMAIN,
     MonotoneInverseTable,
     QuadratureError,
-    build_e1_inverse,
     default_e1_inverse,
     e1_inverse,
     exp_integral_e1,
@@ -126,16 +126,15 @@ class TestInverseTable:
         assert x > 0.0
         assert abs(exp_integral_e1(x) - y) <= 1e-8 * max(1.0, y)
 
-    def test_custom_build_respects_spacing_bound(self):
-        with pytest.raises(ValueError, match="spacing"):
-            build_e1_inverse(6.226e-22, 45.47, 2000)
-
-    def test_custom_build_small_domain(self):
-        table = build_e1_inverse(1e-3, 1.0, 5000)
-        xs = np.logspace(math.log10(table.values.min() * 1.01),
-                         math.log10(table.values.max() * 0.99), 50)
-        err = np.abs(table(exp_integral_e1(xs)) - xs) / np.maximum(1.0, xs)
-        assert err.max() <= 1e-8
+    def test_table_ends(self, e1_table):
+        # The top abscissa is a constant, Brent's root of E1(x) = 6.226e-22
+        # (1.45e-13 relative); the bottom one is the closed form at 45.47.
+        lo, hi = E1_TABLE_DOMAIN
+        x_top, x_bottom = e1_table.values[0], e1_table.values[-1]
+        assert abs(exp_integral_e1(x_top) - lo) <= 2e-13 * lo
+        x0 = np.exp(-np.euler_gamma - hi)
+        assert x_bottom == x0 * (1.0 + x0)
+        assert (e1_table.breakpoints[0], e1_table.breakpoints[-1]) == (lo, hi)
 
     def test_table_validates_monotonicity(self):
         # Four points, so that the size check does not fire first.
@@ -231,12 +230,14 @@ def _density_table(density):
 
 @pytest.fixture(scope="module")
 def indexed_tables(e1_table):
-    # Two E1 tables (u = 1 + log y below 1) and three from_density tables
-    # (u = y); the finite-activity 2 exp(-x) has near-equal log g just below
-    # log 2, so its cell count is capped at 4n.
+    # Two E1 tables (u = 1 + log y below 1; the small one on y in about
+    # [1e-3, 1]) and three from_density tables (u = y); the finite-activity
+    # 2 exp(-x) has near-equal log g just below log 2, so its cell count is
+    # capped at 4n.
+    xs = np.geomspace(5.118, 0.2647, 5000)
     return {
         "e1_default": e1_table,
-        "e1_small": build_e1_inverse(1e-3, 1.0, 5000),
+        "e1_small": MonotoneInverseTable(exp_integral_e1(xs), xs),
         "exp/x": _density_table(lambda x: math.exp(-x) / x),
         "exp*x^-1.5": _density_table(lambda x: math.exp(-x) * x**-1.5),
         "2exp": _density_table(lambda x: 2.0 * math.exp(-x)),
