@@ -30,8 +30,9 @@ two for one rotation ladder of phases shared by all blocks (96 calls per
 point at d = 3000, where one ``sin`` per column took 3000), and every
 element is within 2.5e-14 sqrt(2/T) of the exact value. It stores exactly d
 columns. A reconstruction adds, in block order, one product per block at
-the block's own width, so its values do not depend on d beyond the columns
-used nor on the number of BLAS threads.
+the block's own width, each a stack of 16-row products, so its values do
+not depend on d beyond the columns used, on the number of rows nor on the
+number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ __all__ = [
 
 # Columns per anchored block; fixed, so that no column depends on d.
 _BLOCK = 64
-# Rows of a reconstruction are multiplied in multiples of this many: BLAS
-# computes a lone row by its matrix-vector route and, on the AVX-512 host
-# measured, the rows past the last multiple of 4 by another kernel; both
-# round differently from the rows of a full batch.
+# Rows of a reconstruction are multiplied in stacks of this many: BLAS
+# computes a lone row by its matrix-vector route, on the AVX-512 host
+# measured the rows past the last multiple of 4 by another kernel, and it
+# picks its kernel by the product's size; all round differently.
 _ROW_QUANTUM = 16
 # Largest dimension: ``_anchor_angles`` is exact for k < 2^26, and the
 # zero-padded last tile of ``shotnoise.shot_sum`` reaches anchors up to 512
@@ -280,11 +281,13 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
     Every product's inner dimension is at most ``_BLOCK`` whatever d is, so
     the values do not depend on the number of BLAS threads (tested), where
     one product with inner dimension d does at d = 513 and 3000. Zero rows
-    pad the batch to a multiple of ``_ROW_QUANTUM`` rows, so a row's values
-    do not depend on the other rows nor on how many there are, bit for bit,
-    as long as BLAS keeps to one kernel for the batch sizes compared; it
-    switches kernels with the product's size (at 64 columns and 50 grid
-    points, between 255 and 512 rows, on one AVX-512 host).
+    pad the batch to a multiple of ``_ROW_QUANTUM`` rows, and every product
+    is one stack of (``_ROW_QUANTUM`` x width) @ (width x len(grid))
+    matrices, of one shape whatever the number of rows: BLAS picks its
+    kernel by the product's size, and a single (n x width) product changed
+    kernels between 255 and 512 rows (at 64 columns and 50 grid points, on
+    one AVX-512 host). So a row's values do not depend on the other rows
+    nor on how many there are, bit for bit.
     """
     z = np.asarray(coeffs, dtype=float)
     d = basis.d
@@ -303,15 +306,16 @@ def reconstruct(basis: KleBasis, coeffs, grid, mode: str = "partial", mean_rate:
         rows = np.concatenate((rows, np.zeros((-n % _ROW_QUANTUM, d))))
     if mode == "cesaro":
         rows = rows * (1.0 - np.arange(d) / d)
-    product = np.empty((len(rows), len(tt)))
-    values = np.zeros((len(rows), len(tt)))
+    stacks = rows.reshape(-1, _ROW_QUANTUM, d)
+    product = np.empty((len(stacks), _ROW_QUANTUM, len(tt)))
+    values = np.zeros_like(product)
     for lo in range(0, d, _BLOCK):
         hi = min(lo + _BLOCK, d)
         # Every product takes its matrix operand as one C-ordered
         # (width, len(grid)) array: BLAS may round another layout of the
         # same numbers differently.
-        values += np.matmul(rows[:, lo:hi], np.ascontiguousarray(emat[:, lo:hi].T), out=product)
-    values = values[:n]
+        values += np.matmul(stacks[:, :, lo:hi], np.ascontiguousarray(emat[:, lo:hi].T), out=product)
+    values = values.reshape(-1, len(tt))[:n]
     values += float(mean_rate) * tt
     if not np.all(np.isfinite(values)):
         raise ValueError("path values must be finite")

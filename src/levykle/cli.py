@@ -337,6 +337,8 @@ def cmd_simulate_paths(cfg: ExperimentConfig) -> int:
         for d, values in paths.items():
             for i, row in enumerate(values, start=lo):
                 _write_csv(out / f"{cfg.prefix}_path_d{d}_p{i}.csv", "t,value", [grid_text, _csv_column(row)])
+        # Let go of this chunk before the generator computes the next one.
+        paths = values = row = None
     print(f"wrote {len(cfg.d_list) * cfg.n_paths} path files under {out}")
     return 0
 

@@ -19,9 +19,10 @@ config) from ``SplitModel.parts``, holds each part's substream label, sign,
 centered tail, stop level and drift vector, plus the Gaussian scale; one
 batched kernel consumes it. The cosine blocks use the exactly reduced anchor
 angles and rotation ladders of ``basis``, which path reconstruction shares.
-``sample_coeffs`` is the batch of one plus the streams it drew, and
-``extend_dimension`` adds parts to a row through the kernel's own helper, so
-batch rows, single samples and grown samples agree bitwise by construction.
+``sample_coeffs`` is the batch of one, returned with its key (model, basis,
+config, sample index) and the streams it drew, and ``extend_dimension`` runs
+the key again at the larger d, so batch rows, single samples and grown
+samples agree bitwise by construction.
 
 The jump sum ``shot_sum`` runs once per chunk and part over the chunk's
 flattened jumps with per-sample row offsets; a sample's rows are cut into
@@ -79,7 +80,6 @@ __all__ = [
     "TruncationCapError",
     "ShotConfig",
     "ArrivalStream",
-    "PartRecord",
     "CoefficientSample",
     "derive_rng",
     "arrival_streams",
@@ -176,8 +176,9 @@ class ShotConfig:
 class ArrivalStream:
     """Poisson arrivals ``gammas`` strictly below ``level`` with matched uniforms.
 
-    Built by ``arrival_stream`` without checks; the oracles, which also take
-    streams built elsewhere, validate the record they are given.
+    Built by ``arrival_stream`` and kept by ``sample_coeffs`` without
+    checks; the oracles, which also take streams built elsewhere, validate
+    the record they are given.
     """
 
     gammas: np.ndarray
@@ -664,30 +665,22 @@ def gamma_stop_level(tail: TailIntegral, T: float, cfg: ShotConfig) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PartRecord:
-    """Retained stream of one jump part: arrivals, uniforms, jump sizes, drift."""
-
-    gammas: np.ndarray
-    uniforms: np.ndarray
-    jump_sizes: np.ndarray
-    drift_a: float
-
-
-@dataclass(frozen=True, eq=False)
 class CoefficientSample:
-    """One realization of the coefficient vector Z and everything that made it.
+    """One realization of the coefficient vector Z, with its key and its streams.
 
-    ``pos`` and ``neg`` keep each jump part's stream (None for an absent part).
+    A sample is fixed by its key (``model``, ``basis``, ``cfg``,
+    ``sample_index``): ``sample_coeffs`` of the key gives ``z`` bitwise.
+    ``pos`` and ``neg`` are the jump parts' arrival streams up to their stop
+    levels (None for an absent part).
     """
 
     z: np.ndarray
-    seed: int
+    model: SplitModel
+    basis: KleBasis
+    cfg: ShotConfig
     sample_index: int
-    T: float
-    alpha: float
-    sigma2: float
-    pos: PartRecord | None
-    neg: PartRecord | None
+    pos: ArrivalStream | None
+    neg: ArrivalStream | None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.z)):
@@ -706,18 +699,14 @@ class CoefficientSample:
         return 0 if self.neg is None else len(self.neg.gammas)
 
 
-def _gaussian_scale(basis: KleBasis, sigma2: float) -> np.ndarray | None:
-    return np.sqrt(basis.gaussian_coefficient_variances(sigma2)) if sigma2 > 0.0 else None
-
-
 def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
     """What sampling needs beyond the sample index, built once per call.
 
-    One ``(label, sign, centered tail, stop level, drift a, drift vector)``
-    tuple per jump part, and the Gaussian scale (None without a Gaussian
-    part). A stop level is the part's expected term count, so one above
-    ``cfg.max_terms`` raises ``TruncationCapError`` here, before anything is
-    drawn.
+    One ``(label, sign, centered tail, stop level, drift vector)`` tuple per
+    jump part, and the Gaussian part's coefficient scales (None without a
+    Gaussian part). A stop level is the part's expected term count, so one
+    above ``cfg.max_terms`` raises ``TruncationCapError`` here, before
+    anything is drawn.
     """
     parts = []
     for label, sign, part in model.parts:
@@ -725,26 +714,9 @@ def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
         stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
         if stop > cfg.max_terms:
             raise TruncationCapError(0, 0.0, stop, cfg.max_terms)
-        parts.append((label, sign, c.tail_pos, stop, c.triple.a, basis.drift_vector(c.triple.a)))
-    return parts, _gaussian_scale(basis, float(model.gaussian_sigma2))
-
-
-def _add_part(rows: np.ndarray, basis: KleBasis, sign: float, drift: np.ndarray,
-              jump_sizes: np.ndarray, uniforms: np.ndarray, offsets: np.ndarray | None = None) -> None:
-    # The one place a jump part enters coefficient rows (one row, or one per
-    # sample of ``offsets``); fresh sampling and dimension extension both go
-    # through it, so they agree bitwise. Negating the sizes negates the sum
-    # exactly.
-    rows += sign * drift
-    shot_sum(basis, sign * np.asarray(jump_sizes, dtype=float), uniforms, offsets, out=rows)
-
-
-def _add_gaussian(rows: np.ndarray, scale: np.ndarray | None, seed: int, indices: range) -> None:
-    # Row j gets the Gaussian vector of sample indices[j], drawn from the
-    # stream keyed (index, PART_GAUSS).
-    if scale is not None:
-        for row, rng in zip(rows, _stream_rngs(seed, indices, (PART_GAUSS,))):
-            row += scale * rng.standard_normal(len(row))
+        parts.append((label, sign, c.tail_pos, stop, basis.drift_vector(c.triple.a)))
+    sigma2 = float(model.gaussian_sigma2)
+    return parts, np.sqrt(basis.gaussian_coefficient_variances(sigma2)) if sigma2 > 0.0 else None
 
 
 def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
@@ -753,8 +725,9 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
 
     Jump-size inversion and ``shot_sum`` run once per ``_CHUNK`` samples and
     part, on the chunk's flattened jumps, which is elementwise identical to
-    each sample alone. With ``keep``, ``kept[i]`` maps each part label to
-    the row's ``PartRecord``.
+    each sample alone. Row j of a chunk gets the Gaussian vector drawn from
+    the stream keyed (index, PART_GAUSS). With ``keep``, ``kept[i]`` maps
+    each part label to the row's ``ArrivalStream``.
     """
     if start_index < 0:
         raise ValueError(f"sample indices must be non-negative, got {start_index}")
@@ -765,18 +738,23 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         idx = range(start_index + lo, start_index + hi)
-        for label, sign, tail, stop, drift_a, drift in parts:
+        rows = Z[lo:hi]
+        for label, sign, tail, stop, drift in parts:
             gammas, uniforms, offsets = arrival_streams(cfg.seed, idx, (label,), stop, cfg.max_terms)
             sizes = (
                 np.atleast_1d(np.asarray(tail.g_inv(gammas / basis.T), dtype=float))
                 if offsets[-1] else np.empty(0)
             )
-            _add_part(Z[lo:hi], basis, sign, drift, sizes, uniforms, offsets)
+            # Negating the sizes negates the sum exactly.
+            rows += sign * drift
+            shot_sum(basis, sign * sizes, uniforms, offsets, out=rows)
             if keep:
                 for j, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
-                    kept[lo + j][label] = PartRecord(gammas[a:b], uniforms[a:b], sizes[a:b], drift_a)
+                    kept[lo + j][label] = ArrivalStream(gammas[a:b], uniforms[a:b], stop)
             counts[label, lo:hi] = np.diff(offsets)
-        _add_gaussian(Z[lo:hi], gauss_scale, cfg.seed, idx)
+        if gauss_scale is not None:
+            for row, rng in zip(rows, _stream_rngs(cfg.seed, idx, (PART_GAUSS,))):
+                row += gauss_scale * rng.standard_normal(basis.d)
     return Z, counts[PART_POS], counts[PART_NEG], kept
 
 
@@ -792,14 +770,12 @@ def sample_coeffs(
     ``sample_coeffs_batch``. Parts are centered internally; each is sampled
     on its own substream derived from ``(cfg.seed, sample_index, part)``, and
     the Gaussian vector uses the variances that make a jump-free model
-    reproduce E[Z_k^2] = lambda_k. The sample keeps its streams for
-    ``extend_dimension``.
+    reproduce E[Z_k^2] = lambda_k. The sample holds its key and the jump
+    parts' streams.
     """
     Z, _, _, kept = _run(model, basis, cfg, 1, sample_index, keep=True)
-    return CoefficientSample(
-        z=Z[0], seed=cfg.seed, sample_index=sample_index, T=basis.T, alpha=basis.alpha,
-        sigma2=float(model.gaussian_sigma2), pos=kept[0].get(PART_POS), neg=kept[0].get(PART_NEG),
-    )
+    return CoefficientSample(Z[0], model, basis, cfg, sample_index,
+                             kept[0].get(PART_POS), kept[0].get(PART_NEG))
 
 
 def sample_coeffs_batch(
@@ -820,24 +796,17 @@ def sample_coeffs_batch(
 
 
 def extend_dimension(coeffs: CoefficientSample, new_d: int) -> CoefficientSample:
-    """Recompute the sample at a larger dimension from its own streams.
+    """The sample at a larger dimension: a fresh run of its key at ``new_d``.
 
-    The first ``coeffs.d`` coordinates are reproduced bitwise (verified: a
-    sample whose streams do not give its ``z`` raises ``ValueError``); the
-    new coordinates use the same jump realizations and the same Gaussian
-    stream, so the result equals a fresh run at ``new_d`` with the same seed.
+    The series is nested in d, so the first ``coeffs.d`` coordinates of the
+    fresh run equal ``coeffs.z`` bitwise; a sample whose key does not give
+    back its ``z`` raises ``ValueError``.
     """
     if new_d < coeffs.d:
         raise ValueError("new_d must be at least the current dimension")
     if new_d == coeffs.d:
         return coeffs
-    wide = KleBasis(T=coeffs.T, d=new_d, alpha=coeffs.alpha)
-    z = np.zeros(new_d)
-    for sign, part in ((1.0, coeffs.pos), (-1.0, coeffs.neg)):
-        if part is not None:
-            _add_part(z, wide, sign, wide.drift_vector(part.drift_a), part.jump_sizes, part.uniforms)
-    _add_gaussian(z[None], _gaussian_scale(wide, coeffs.sigma2), coeffs.seed,
-                  range(coeffs.sample_index, coeffs.sample_index + 1))
-    if not np.array_equal(z[: coeffs.d], coeffs.z):
-        raise ValueError("the sample's streams are inconsistent with its coefficients")
-    return replace(coeffs, z=z)
+    grown = sample_coeffs(coeffs.model, replace(coeffs.basis, d=new_d), coeffs.cfg, coeffs.sample_index)
+    if not np.array_equal(grown.z[: coeffs.d], coeffs.z):
+        raise ValueError("the sample's key is inconsistent with its coefficients")
+    return grown

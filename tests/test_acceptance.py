@@ -324,12 +324,13 @@ class TestCriterion10:
         s = sample_coeffs(as_split(model), basis, ShotConfig(seed=SEED_GIBBS))
         rec = s.pos
         times = basis.T * rec.uniforms
-        big = int(np.argmax(rec.jump_sizes))
-        jump, t0 = float(rec.jump_sizes[big]), float(times[big])
+        sizes = model.tail_pos.g_inv(rec.gammas / basis.T)
+        big = int(np.argmax(sizes))
+        jump, t0 = float(sizes[big]), float(times[big])
         assert jump >= 1.0 and t0 + 0.04 < basis.T
         grid = t0 + np.linspace(1e-4, 0.04, 800)
         m = model.jump_mean
-        truth = (rec.jump_sizes[None, :] * (times[None, :] <= grid[:, None])).sum(axis=1) - m * grid
+        truth = (sizes[None, :] * (times[None, :] <= grid[:, None])).sum(axis=1) - m * grid
         partial = reconstruct(basis, s.z, grid, mode="partial")
         cesaro = reconstruct(basis, s.z, grid, mode="cesaro")
         over_p = float(np.max(partial - truth))

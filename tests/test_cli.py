@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -311,14 +312,37 @@ class TestSimulatePaths:
     def test_file_does_not_depend_on_n_paths(self, tmp_path):
         # A lone row and the rows past a multiple of BLAS's row unroll would
         # take other kernels and round differently, at d <= 64 and past it.
+        # A full 512-row chunk against a shorter one would take another BLAS
+        # kernel too, but for the fixed 16-row stacks.
         files = {}
-        for n in (1, 2, 3, 5):
+        for n, d_list in ((1, "5,25,65"), (2, "5,25,65"), (3, "5,25,65"), (5, "5,25,65"),
+                          (300, "65"), (512, "65")):
             out = tmp_path / f"n{n}"
-            assert main(["simulate-paths", "--seed", "7", "--grid-n", "50", "--d-list", "5,25,65",
+            assert main(["simulate-paths", "--seed", "7", "--grid-n", "50", "--d-list", d_list,
                          "--n-paths", str(n), "--output-dir", str(out)]) == 0
             files[n] = {p.name: p.read_bytes() for p in out.iterdir()}
-        for n in (1, 2, 3):
-            assert files[n] == {name: files[5][name] for name in files[n]}, n
+        for n, m in ((1, 5), (2, 5), (3, 5), (300, 512)):
+            assert files[n] == {name: files[m][name] for name in files[n]}, n
+
+    def test_peak_holds_one_chunk_of_paths(self, tmp_path, monkeypatch):
+        # A written chunk's paths are let go before the next chunk is
+        # computed, so the peak stays within the memory estimate's
+        # ``_PATH_ARRAYS`` (chunk x grid) arrays per dimension. Two chunks;
+        # the files are not written, which holds no array.
+        grid_n, d_list = 400, (5, 25)
+        written = []
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: written.append(path))
+        default_e1_inverse()
+        tracemalloc.start()
+        try:
+            assert main(["simulate-paths", "--seed", "7", "--grid-n", str(grid_n), "--d-list", "5,25",
+                         "--n-paths", "1024", "--workers", "1", "--output-dir", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 1024 * len(d_list)
+        arrays = peak / (8 * cli._CHUNK * grid_n)
+        assert arrays <= cli._PATH_ARRAYS * len(d_list), arrays
 
     def test_path_starts_at_zero(self, tmp_path):
         assert main(["simulate-paths", "--model", "gamma", "--seed", "1",

@@ -212,6 +212,9 @@ class TestBruteForce:
             ours = sample_coeffs(as_split(self.cp), self.basis, cfg, sample_index=i).z
             ref = brute_force_coeffs(self.cp, self.basis, stream)
             assert np.max(np.abs(ours - ref)) < 1e-12
+        # So does the stream a sample keeps, which ends at the stop level.
+        s = sample_coeffs(as_split(self.cp), self.basis, cfg, sample_index=3)
+        assert np.max(np.abs(brute_force_coeffs(self.cp, self.basis, s.pos) - s.z)) < 1e-12
 
     def test_grid_route_converges_to_exact(self):
         # Reference: the centered path sampled on a fine grid and integrated

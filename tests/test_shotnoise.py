@@ -457,7 +457,8 @@ class TestSamplers:
         cfg = ShotConfig(seed=1)
         raw = sample_coeffs(as_split(cp), basis, cfg)
         done = sample_coeffs(as_split(center(cp)), basis, cfg)
-        assert raw.pos.drift_a == -cp.jump_mean
+        jumps = shot_sum(basis, cp.tail_pos.g_inv(raw.pos.gammas / basis.T), raw.pos.uniforms)
+        assert np.allclose(raw.z - jumps, basis.drift_vector(-cp.jump_mean), rtol=0.0, atol=1e-12)
         assert np.array_equal(raw.z, done.z)
         Z_raw, _, _ = sample_coeffs_batch(as_split(cp), basis, cfg, 5)
         Z_done, _, _ = sample_coeffs_batch(as_split(center(cp)), basis, cfg, 5)
@@ -465,13 +466,14 @@ class TestSamplers:
 
     @staticmethod
     def _centering_route(model, basis, cfg, idx):
-        # Jump sum of the kept record compensated by the series centering at
-        # the truncation level instead of the drift vector.
+        # Jump sum of the kept stream compensated by the series centering at
+        # the truncation level instead of the drift vector. Inversion is
+        # elementwise, so the sizes are bitwise the sampler's.
         s = sample_coeffs(as_split(model), basis, cfg, sample_index=idx)
         rec = s.pos
         tail = center(model).tail_pos
-        stop = gamma_stop_level(tail, basis.T, cfg)
-        return s.z, shot_sum(basis, rec.jump_sizes, rec.uniforms) - centering_vector(tail, basis, stop)
+        sizes = tail.g_inv(rec.gammas / basis.T)
+        return s.z, shot_sum(basis, sizes, rec.uniforms) - centering_vector(tail, basis, rec.level)
 
     def test_drift_and_centering_routes_agree_finite_activity(self, cp_centered):
         # Same stream, h identically 0 vs series centering at the truncation
@@ -564,22 +566,32 @@ class TestExtendDimension:
             extend_dimension(small, 3)
 
     def test_inconsistent_sample_rejected(self, vg):
-        # The streams a sample keeps must give back its own z before it grows.
+        # A sample's key must give back its own z before it grows: another
+        # z, or another index, seed or horizon with the same z, is rejected.
         cfg = ShotConfig(seed=31)
         small = sample_coeffs(vg, KleBasis(T=1.0, d=5, alpha=vg.alpha), cfg)
         other = sample_coeffs(vg, KleBasis(T=1.0, d=5, alpha=vg.alpha), cfg, sample_index=1)
-        for z in (other.z, np.nextafter(small.z, np.inf)):
+        for bad in (replace(small, z=other.z), replace(small, z=np.nextafter(small.z, np.inf)),
+                    replace(small, sample_index=1), replace(small, cfg=ShotConfig(seed=32)),
+                    replace(small, basis=KleBasis(T=2.0, d=5, alpha=vg.alpha))):
             with pytest.raises(ValueError, match="inconsistent"):
-                extend_dimension(replace(small, z=z), 25)
+                extend_dimension(bad, 25)
 
     def test_sample_carries_its_record(self, vg):
+        # A sample holds its key and each jump part's stream up to its stop level.
         cfg = ShotConfig(seed=31)
-        s = sample_coeffs(vg, KleBasis(T=2.0, d=5, alpha=vg.alpha), cfg, sample_index=6)
-        assert (s.d, s.seed, s.sample_index, s.T, s.alpha, s.sigma2) == (5, 31, 6, 2.0, vg.alpha, 0.0)
+        basis = KleBasis(T=2.0, d=5, alpha=vg.alpha)
+        s = sample_coeffs(vg, basis, cfg, sample_index=6)
+        assert s.d == 5 and s.model is vg and s.basis is basis and s.cfg is cfg and s.sample_index == 6
         assert (s.n_terms_pos, s.n_terms_neg) == (len(s.pos.gammas), len(s.neg.gammas))
-        assert len(s.pos.jump_sizes) == len(s.pos.uniforms) == s.n_terms_pos > 0
+        for label, _, part in vg.parts:
+            rec = s.pos if label == PART_POS else s.neg
+            assert rec.level == gamma_stop_level(center(part).tail_pos, basis.T, cfg)
+            assert len(rec.uniforms) == len(rec.gammas) > 0 and rec.gammas[-1] < rec.level
         grown = extend_dimension(s, 9)
-        assert grown.d == 9 and grown.pos is s.pos and grown.neg is s.neg
+        assert grown.d == 9 and (grown.basis.T, grown.basis.d) == (2.0, 9)
+        for a, b in ((grown.pos, s.pos), (grown.neg, s.neg)):
+            assert np.array_equal(a.gammas, b.gammas) and np.array_equal(a.uniforms, b.uniforms)
 
 
 class TestOneKernel:
