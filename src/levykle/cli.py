@@ -38,12 +38,13 @@ import numpy as np
 
 from .basis import _MAX_DIMENSION, _ROW_QUANTUM, KleBasis, reconstruct, variance_capture
 from .models import _CONFIG_KINDS, SplitModel, model_from_config
+from .shotnoise import _CHUNK, _MAX_TERMS, ShotConfig, TruncationCapError, _stop_levels, sample_coeffs_batch
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
 # ``sample_coeffs_batch``.
-from .shotnoise import _CHUNK, ShotConfig, TruncationCapError, sample_coeffs, sample_coeffs_batch  # noqa: F401
+from .shotnoise import sample_coeffs  # noqa: F401
 from .special import default_e1_inverse, exp_integral_e1
-from .validation import run_validation
+from .validation import _KS_DIRECT, run_validation
 
 __all__ = ["ConfigError", "ExperimentConfig", "main"]
 
@@ -55,6 +56,11 @@ _MOMENT_SQUARES = 6
 # one product or square at a time (measured: 2.15 at one dimension and 1.6
 # per dimension at two, for one 512-path chunk under tracemalloc).
 _PATH_ARRAYS = 2
+# Doubles per arrival of the streams drawn at once, at their peak: the
+# arrivals, their uniforms and jump sizes, and the jump-size inversion's
+# temporaries (measured: 11.1 for a gamma chunk at stop levels 909 and 9094,
+# in the sampler and in the direct series, under tracemalloc).
+_STREAM_ARRAYS = 12
 
 
 class ConfigError(ValueError):
@@ -143,6 +149,8 @@ _FIELDS = {
     "prefix": _Field("string", "--prefix", "file name prefix of the outputs", "a string"),
     "workers": _Field("integer", "--workers", "threads; the output does not depend on them", "integral and at least 1",
                       lambda v: v >= 1),
+    "max_terms": _Field("integer", "--max-terms", "most series terms of one jump part of one path",
+                        "integral and at least 1", lambda v: v >= 1),
 }
 
 
@@ -173,6 +181,7 @@ class ExperimentConfig:
     output_dir: str = "."
     prefix: str = "levykle"
     workers: int = 1
+    max_terms: int = _MAX_TERMS
 
     def validate(self) -> None:
         """Raise ``ConfigError`` for the first field whose value breaks its ``_FIELDS`` entry."""
@@ -190,7 +199,7 @@ class ExperimentConfig:
         return model
 
     def shot_config(self) -> ShotConfig:
-        return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff)
+        return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff, max_terms=self.max_terms)
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
@@ -262,17 +271,25 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(d: int, doubles: int, what: str) -> None:
+def _check_memory(d: int, doubles: float, what: str) -> None:
     """Raise ``_MemoryLimit`` when a run's estimated peak exceeds physical memory.
 
     ``doubles`` estimates the peak in doubles from the allocations that grow
-    with d, which ``what`` names; everything else is far smaller at any d
-    where these fit.
+    with d, the paths and the truncation level, which ``what`` names;
+    everything else is far smaller wherever these fit.
     """
     need, have = 8 * doubles, _physical_memory()
     if have is not None and need > have:
         raise _MemoryLimit(f"d = {d} needs about {need / 2**30:.3g} GiB for {what}, "
                            f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
+def _stream_doubles(cfg: ExperimentConfig, model: SplitModel, streams: int) -> float:
+    """Doubles held by ``streams`` arrival streams drawn at once, each up to
+    the largest stop level of the model's jump parts; ``TruncationCapError``
+    first when a stop level exceeds ``max_terms``."""
+    stop = max((level for *_, level in _stop_levels(model, cfg.T, cfg.shot_config())), default=0.0)
+    return _STREAM_ARRAYS * streams * stop
 
 
 def _parallel_in_order(fn, tasks, workers: int):
@@ -306,13 +323,15 @@ def _sampled_paths(cfg: ExperimentConfig, model: SplitModel, grid: np.ndarray, m
     chunk. The worker threads sample, reconstruct and reduce; at most
     ``workers + 1`` reduced chunks are held at once.
     """
-    # The eigenfunction matrix, grid x d, and workers + 1 chunks of
-    # coefficient rows and of paths (padded to whole row quanta) are held at
-    # once; the check comes before any.
+    # The eigenfunction matrix, grid x d, workers + 1 chunks of coefficient
+    # rows and of paths (padded to whole row quanta), and the arrival streams
+    # of the chunks the workers sample are held at once; the check comes
+    # before any.
     d = max(cfg.d_list)
     rows = (cfg.workers + 1) * -(-min(_CHUNK, cfg.n_paths) // _ROW_QUANTUM) * _ROW_QUANTUM
-    _check_memory(d, len(grid) * d + rows * d + _PATH_ARRAYS * rows * len(grid) * len(cfg.d_list),
-                  "the eigenfunction matrix, the samples and the paths held at once")
+    streams = _stream_doubles(cfg, model, cfg.workers * min(_CHUNK, cfg.n_paths))
+    _check_memory(d, len(grid) * d + rows * d + _PATH_ARRAYS * rows * len(grid) * len(cfg.d_list) + streams,
+                  "the eigenfunction matrix, the samples, the arrival streams and the paths held at once")
     shot = cfg.shot_config()
     bases = {d: KleBasis(T=cfg.T, d=d, alpha=model.alpha) for d in cfg.d_list}
     basis_max = bases[max(cfg.d_list)]
@@ -407,10 +426,12 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
         raise ConfigError(f"cannot write report {out_path}: no such directory")
     model = cfg.build_model()
     # The suites take every sample at once; the moment suite's correlations,
-    # second moments and their SE are d x d.
+    # second moments and their SE are d x d. The sampler draws the streams of
+    # one chunk at a time, the KS suite's direct series up to _KS_DIRECT.
     d = max(cfg.d_list)
-    _check_memory(d, cfg.n_paths * d + _MOMENT_SQUARES * d * d,
-                  "the samples and the moment suite's d x d matrices")
+    streams = _stream_doubles(cfg, model, min(cfg.n_paths, max(_CHUNK, _KS_DIRECT)))
+    _check_memory(d, cfg.n_paths * d + _MOMENT_SQUARES * d * d + streams,
+                  "the samples, the arrival streams and the moment suite's d x d matrices")
     report = run_validation(model, T=cfg.T, d=max(cfg.d_list), n_samples=cfg.n_paths,
                             cfg=cfg.shot_config())
     text = json.dumps(report, indent=2)

@@ -55,9 +55,15 @@ part uses the key (sample_index, PART_GAUSS). The seed words of a whole
 chunk's generators come from one vectorized pass (``_seed_words``, numpy's
 seed_seq hashing and mixing in integer arithmetic, equal to numpy's by
 test), and each PCG64 seeds itself from its words, so no SeedSequence is
-built per stream. Exponentials are drawn in doubling blocks, so a stream up
-to a higher level extends a stream up to a lower one element for element,
-which makes coefficient vectors bitwise reproducible under dimension growth,
+built per stream. A stream makes two numpy calls: one fill of its
+exponentials into a row of a group buffer, as many as the doubling schedule
+128, 384, 896, ... needs to pass the level with six standard deviations to
+spare, and one fill of its uniforms; the partial sums, the counts below the
+level and the gather run once per group of rows, and a row that falls short
+continues along the schedule on its own. The draws are those of doubling
+blocks and each row's cumulative sum is sequential, so a stream up to a
+higher level extends a stream up to a lower one element for element, which
+makes coefficient vectors bitwise reproducible under dimension growth,
 under a raised cutoff and under any partitioning of samples across workers.
 """
 
@@ -96,6 +102,8 @@ __all__ = [
 PART_GAUSS = 2
 
 _FIRST_BLOCK = 128
+# Doubles in the buffer that a group of arrival streams fills at once.
+_FILL_DOUBLES = 1 << 20
 _MAX_TERMS = 1_000_000
 # Samples per chunk: per part, one jump-size inversion and one ``shot_sum``
 # call; the CLI samples and reconstructs a chunk at a time.
@@ -339,43 +347,109 @@ def derive_rng(seed, *labels) -> np.random.Generator:
     return next(_stream_rngs(seed, None, labels))
 
 
+def _schedule():
+    """The doubling schedule of a stream's exponentials: ``(drawn, block)``,
+    the cumulative count after each block and the block, (128, 128), (384,
+    256), (896, 512), ..."""
+    drawn = block = _FIRST_BLOCK
+    while True:
+        yield drawn, block
+        block *= 2
+        drawn += block
+
+
+def _first_fill(level: float, max_terms: int) -> int:
+    """Exponentials drawn per stream at once: the first size of the schedule
+    that reaches level + 6 sqrt(level), six standard deviations above the
+    Poisson count's mean, or ``max_terms``, where a stream not yet past the
+    level fails."""
+    target = min(level + 6.0 * math.sqrt(max(level, 0.0)), max_terms)
+    return next(drawn for drawn, _ in _schedule() if drawn >= target)
+
+
+def _replayed(g: np.ndarray, rng: np.random.Generator, level: float, max_terms: int) -> np.ndarray:
+    """One stream's arrivals below ``level``, or its ``TruncationCapError``, as the schedule gives them.
+
+    ``g`` holds the stream's first partial sums, a size of the schedule;
+    ``rng`` its exponential generator, which then continues it. Walking the
+    schedule, a stream stops at the first size past ``level``, and fails at
+    a size that reaches ``max_terms`` first, or when more than ``max_terms``
+    arrivals lie below ``level``. A continued block's partial sums start from
+    the last one, as a cumulative sum of the whole stream would.
+    """
+    for drawn, block in _schedule():
+        if drawn > len(g):
+            more = np.empty(block + 1)
+            more[0] = g[-1]
+            rng.standard_exponential(out=more[1:])
+            g = np.concatenate((g, np.cumsum(more)[1:]))
+        if g[drawn - 1] > level:
+            break
+        if drawn >= max_terms:
+            raise TruncationCapError(drawn, float(g[drawn - 1]), level, max_terms)
+    n = int(g.searchsorted(level))
+    if n > max_terms:
+        raise TruncationCapError(n, float(g[n - 1]), level, max_terms)
+    return g[:n]
+
+
 def arrival_streams(seed, indices: range | None, labels: tuple, level: float,
                     max_terms: int = _MAX_TERMS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arrival streams keyed ``(i, *labels)`` for i in ``indices``, flattened.
 
     Returns ``(gammas, uniforms, offsets)``: stream j is
     ``gammas[offsets[j]:offsets[j + 1]]``, the arrivals strictly below
-    ``level``, with its uniforms. With ``indices`` None there is one stream,
-    keyed by ``labels`` alone. A stream's exponentials and uniforms come from
-    the generators of the keys ``key + (0,)`` and ``key + (1,)``
-    (``_stream_rngs``). Exponentials are drawn in doubling blocks, so the
-    stream up to a higher level extends the stream up to a lower one element
-    for element; uniforms are drawn in one call once the count is known.
+    ``level``, with its uniforms; an empty range gives no arrivals and
+    offsets ``[0]``. With ``indices`` None there is one stream, keyed by
+    ``labels`` alone. A stream's exponentials and uniforms come from the
+    generators of the keys ``key + (0,)`` and ``key + (1,)``
+    (``_stream_rngs``), two numpy calls per stream: one fill of
+    ``_first_fill`` exponentials into its row of a group buffer of at most
+    ``_FILL_DOUBLES`` (or one row), and one of its uniforms into the flat
+    output. The partial sums, the counts below the level and the gather run
+    once per group. The fill is a size of the doubling schedule (128, 384,
+    896, ...), so one call draws the exponentials of the schedule's first
+    blocks, and a row's cumulative sum is sequential, so a stream up to a
+    higher level extends the stream up to a lower one element for element.
+    A row still at or below the level (probability about 1e-9), or one that
+    breaks the cap, is walked along the schedule on its own (``_replayed``).
     Raises ``TruncationCapError`` when more than ``max_terms`` arrivals of a
     stream lie below ``level``.
     """
-    gammas, uniforms = [], []
-    for exp_rng, uni_rng in zip(_stream_rngs(seed, indices, (*labels, 0)),
-                                _stream_rngs(seed, indices, (*labels, 1))):
-        blocks: list[np.ndarray] = []
-        block = _FIRST_BLOCK
-        n_drawn = 0
-        while True:
-            blocks.append(exp_rng.standard_exponential(block))
-            n_drawn += block
-            g = (np.concatenate(blocks) if len(blocks) > 1 else blocks[0]).cumsum()
-            if g[-1] > level:
-                break
-            if n_drawn >= max_terms:
-                raise TruncationCapError(n_drawn, float(g[-1]), level, max_terms)
-            block *= 2
-        n = int(g.searchsorted(level))
-        if n > max_terms:
-            raise TruncationCapError(n, float(g[n - 1]), level, max_terms)
-        gammas.append(g[:n])
-        uniforms.append(uni_rng.random(n))
-    offsets = np.concatenate(([0], np.cumsum([len(g) for g in gammas])))
-    return np.concatenate(gammas), np.concatenate(uniforms), offsets
+    n = 1 if indices is None else len(indices)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    if n == 0:
+        return np.empty(0), np.empty(0), offsets
+    width = _first_fill(level, max_terms)
+    buf = np.empty((min(n, max(1, _FILL_DOUBLES // width)), width))
+    exp_rngs = _stream_rngs(seed, indices, (*labels, 0))
+    # Each stream's count goes into offsets[j + 1], summed in place below.
+    counts, parts = offsets[1:], []
+    for lo in range(0, n, len(buf)):
+        g = buf[:min(len(buf), n - lo)]
+        rngs = [rng for _, rng in zip(g, exp_rngs)]
+        for row, rng in zip(g, rngs):
+            rng.standard_exponential(out=row)
+        np.cumsum(g, axis=1, out=g)
+        below = g < level
+        count = counts[lo:lo + len(g)]
+        count[:] = np.count_nonzero(below, axis=1)
+        ok = (g[:, -1] > level) & (count <= max_terms)
+        if ok.all():
+            parts.append(g[below])
+            continue
+        rows = [row[:c] for row, c in zip(g, count)]
+        for j in np.flatnonzero(~ok):
+            rows[j] = _replayed(g[j], rngs[j], level, max_terms)
+            count[j] = len(rows[j])
+        parts.append(np.concatenate(rows))
+    gammas = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # the groups' copies go before the uniforms come
+    np.cumsum(counts, out=counts)
+    uniforms = np.empty(offsets[-1])
+    for rng, a, b in zip(_stream_rngs(seed, indices, (*labels, 1)), offsets[:-1], offsets[1:]):
+        rng.random(out=uniforms[a:b])
+    return gammas, uniforms, offsets
 
 
 def arrival_stream(seed, level: float, max_terms: int = _MAX_TERMS) -> ArrivalStream:
@@ -699,22 +773,32 @@ class CoefficientSample:
         return 0 if self.neg is None else len(self.neg.gammas)
 
 
-def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
-    """What sampling needs beyond the sample index, built once per call.
+def _stop_levels(model: SplitModel, T: float, cfg: ShotConfig):
+    """One ``(label, sign, centered part, stop level)`` tuple per jump part.
 
-    One ``(label, sign, centered tail, stop level, drift vector)`` tuple per
-    jump part, and the Gaussian part's coefficient scales (None without a
-    Gaussian part). A stop level is the part's expected term count, so one
-    above ``cfg.max_terms`` raises ``TruncationCapError`` here, before
-    anything is drawn.
+    A stop level is the part's expected term count, so one above
+    ``cfg.max_terms`` raises ``TruncationCapError`` here, before anything is
+    drawn.
     """
     parts = []
     for label, sign, part in model.parts:
         c = center(part)
-        stop = gamma_stop_level(c.tail_pos, basis.T, cfg)
+        stop = gamma_stop_level(c.tail_pos, T, cfg)
         if stop > cfg.max_terms:
             raise TruncationCapError(0, 0.0, stop, cfg.max_terms)
-        parts.append((label, sign, c.tail_pos, stop, basis.drift_vector(c.triple.a)))
+        parts.append((label, sign, c, stop))
+    return parts
+
+
+def _plan(model: SplitModel, basis: KleBasis, cfg: ShotConfig):
+    """What sampling needs beyond the sample index, built once per call.
+
+    One ``(label, sign, centered tail, stop level, drift vector)`` tuple per
+    jump part (``_stop_levels``), and the Gaussian part's coefficient scales
+    (None without a Gaussian part).
+    """
+    parts = [(label, sign, c.tail_pos, stop, basis.drift_vector(c.triple.a))
+             for label, sign, c, stop in _stop_levels(model, basis.T, cfg)]
     sigma2 = float(model.gaussian_sigma2)
     return parts, np.sqrt(basis.gaussian_coefficient_variances(sigma2)) if sigma2 > 0.0 else None
 

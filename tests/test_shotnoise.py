@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levykle import shotnoise
 from levykle.basis import KleBasis
 from levykle.models import SplitModel, as_split, center, make_brownian, make_cp_exponential, make_gamma
 from levykle.oracles import centering_vector
@@ -84,10 +86,12 @@ class TestStreams:
                 arrival_stream(11, level)
 
 
-def _numpy_stream(seed, key, level):
-    """Reference stream from numpy's own constructors, drawn the way the
-    samplers draw: exponentials in doubling blocks from 128 until one passes
-    ``level``, then one call for the uniforms."""
+def _numpy_stream(seed, key, level, max_terms=None):
+    """Reference stream from numpy's own constructors, drawn one stream at a
+    time: exponentials in doubling blocks from 128 until one passes
+    ``level``, then one call for the uniforms. With ``max_terms`` it raises
+    ``TruncationCapError`` where that loop did: at a block that reaches the
+    cap before the level, or when more than the cap lie below the level."""
     def rng(sub):
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*key, sub))))
 
@@ -98,9 +102,79 @@ def _numpy_stream(seed, key, level):
         gammas = np.cumsum(np.concatenate(blocks))
         if gammas[-1] > level:
             break
+        if max_terms is not None and len(gammas) >= max_terms:
+            raise TruncationCapError(len(gammas), float(gammas[-1]), level, max_terms)
         block *= 2
     n = int(np.searchsorted(gammas, level))
+    if max_terms is not None and n > max_terms:
+        raise TruncationCapError(n, float(gammas[n - 1]), level, max_terms)
     return gammas[:n], uni_rng.random(n)
+
+
+def _assert_streams_match(seed, indices, label, level):
+    gammas, uniforms, offsets = arrival_streams(seed, indices, (label,), level)
+    assert len(offsets) == len(indices) + 1 and offsets[-1] == len(gammas) == len(uniforms)
+    for j, i in enumerate(indices):
+        ref_g, ref_u = _numpy_stream(seed, (i, label), level)
+        assert np.array_equal(gammas[offsets[j]:offsets[j + 1]], ref_g), i
+        assert np.array_equal(uniforms[offsets[j]:offsets[j + 1]], ref_u), i
+
+
+def _cap_fields(call):
+    with pytest.raises(TruncationCapError) as err:
+        call()
+    return err.value.n_drawn, err.value.gamma_reached, err.value.gamma_stop, err.value.max_terms
+
+
+class TestGroupedStreams:
+    """``arrival_streams`` fills one buffer row per stream, one call each,
+    and sums, counts and gathers a group of rows at once; every stream must
+    equal the one-stream-at-a-time loop bitwise, and a cap error must carry
+    that loop's fields."""
+
+    def test_empty_range(self):
+        gammas, uniforms, offsets = arrival_streams(7, range(3, 3), (PART_POS,), 45.0)
+        assert gammas.shape == uniforms.shape == (0,)
+        assert offsets.tolist() == [0]
+
+    def test_overrun_rows_continue_along_the_schedule(self, monkeypatch):
+        # A first fill of 128 leaves every stream at level 454.7 short of
+        # it, so each continues on its own generator (384, 896, ...), in
+        # groups of 3 rows.
+        monkeypatch.setattr(shotnoise, "_first_fill", lambda level, max_terms: 128)
+        monkeypatch.setattr(shotnoise, "_FILL_DOUBLES", 3 * 128)
+        _assert_streams_match(11, range(2**32 - 4, 2**32 + 4), PART_POS, 454.7)
+        # Continued to 384 draws, none of them past the level, a stream
+        # stops there with a cap of 300.
+        assert _cap_fields(lambda: arrival_streams(11, range(4), (PART_POS,), 454.7, 300)) == \
+            _cap_fields(lambda: _numpy_stream(11, (0, PART_POS), 454.7, 300))
+
+    def test_cap_errors_carry_the_loops_fields(self):
+        # 384 draws (the first fill) reach the cap of 300 before level 454.7.
+        assert _cap_fields(lambda: arrival_streams(7, range(5), (PART_POS,), 454.7, 300)) == \
+            _cap_fields(lambda: _numpy_stream(7, (0, PART_POS), 454.7, 300))
+        # 128 draws pass level 45.47, with more than the cap below it; the
+        # first stream to break the cap is the one reported.
+        counts = np.diff(arrival_streams(7, range(20), (PART_POS,), 45.47)[2])
+        cap = int(counts[0])
+        first = int(np.argmax(counts > cap))
+        assert first > 0
+        assert _cap_fields(lambda: arrival_streams(7, range(20), (PART_POS,), 45.47, cap)) == \
+            _cap_fields(lambda: _numpy_stream(7, (first, PART_POS), 45.47, cap))
+
+    def test_group_buffer_stays_within_its_constant(self):
+        # At level 2e4 a stream's first fill is 32640 exponentials, so 256
+        # streams in one buffer would take 67 MB; groups of 32 rows take
+        # 8.4 MB. At its peak the call holds its outputs' size (the groups'
+        # arrivals and their concatenation, or the arrivals and the
+        # uniforms), one group buffer and its mask.
+        tracemalloc.start()
+        try:
+            gammas, uniforms, _ = arrival_streams(5, range(256), (PART_POS,), 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gammas.nbytes + uniforms.nbytes + 1.25 * 8 * shotnoise._FILL_DOUBLES
 
 
 class TestStreamDerivation:
@@ -113,17 +187,15 @@ class TestStreamDerivation:
                        st.integers(2**32, 2**64 - 8), st.integers(2**64 - 4, 2**64 + 4))
 
     @given(seed=SEEDS, start=STARTS, n=st.integers(1, 6), label=st.sampled_from([PART_POS, PART_NEG]),
-           level=st.sampled_from([0.5, 60.0, 700.0]))
+           level=st.sampled_from([0.5, 3.0, 45.47, 60.0, 454.7, 700.0]))
     @example(seed=0, start=0, n=3, label=PART_POS, level=60.0)
     @example(seed=7, start=2**32 - 3, n=6, label=PART_NEG, level=60.0)
+    @example(seed=7, start=2**32 - 3, n=6, label=PART_NEG, level=3.0)
+    @example(seed=7, start=2**32 - 3, n=6, label=PART_NEG, level=45.47)
+    @example(seed=7, start=2**32 - 3, n=6, label=PART_NEG, level=454.7)
     @settings(max_examples=40, deadline=None)
     def test_chunk_streams_match_numpy(self, seed, start, n, label, level):
-        gammas, uniforms, offsets = arrival_streams(seed, range(start, start + n), (label,), level)
-        assert len(offsets) == n + 1 and offsets[-1] == len(gammas) == len(uniforms)
-        for j in range(n):
-            ref_g, ref_u = _numpy_stream(seed, (start + j, label), level)
-            assert np.array_equal(gammas[offsets[j]:offsets[j + 1]], ref_g)
-            assert np.array_equal(uniforms[offsets[j]:offsets[j + 1]], ref_u)
+        _assert_streams_match(seed, range(start, start + n), label, level)
 
     @given(entropy=st.one_of(SEEDS, st.lists(SEEDS, min_size=1, max_size=3).map(tuple)),
            key=st.lists(st.one_of(st.integers(0, 9), SEEDS), max_size=4).map(tuple))
