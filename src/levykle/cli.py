@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import _MAX_DIMENSION, _ROW_QUANTUM, KleBasis, reconstruct, variance_capture
 from .models import _CONFIG_KINDS, SplitModel, model_from_config
-from .shotnoise import _CHUNK, _MAX_TERMS, ShotConfig, TruncationCapError, _stop_levels, sample_coeffs_batch
+from .shotnoise import _CHUNK, ShotConfig, TruncationCapError, _stop_levels, sample_coeffs_batch
 # ``sample_coeffs`` stays importable from here: the benchmark's tracer wraps
 # ``cli.sample_coeffs``, although the commands go through
 # ``sample_coeffs_batch``.
@@ -149,8 +149,6 @@ _FIELDS = {
     "prefix": _Field("string", "--prefix", "file name prefix of the outputs", "a string"),
     "workers": _Field("integer", "--workers", "threads; the output does not depend on them", "integral and at least 1",
                       lambda v: v >= 1),
-    "max_terms": _Field("integer", "--max-terms", "most series terms of one jump part of one path",
-                        "integral and at least 1", lambda v: v >= 1),
 }
 
 
@@ -181,7 +179,6 @@ class ExperimentConfig:
     output_dir: str = "."
     prefix: str = "levykle"
     workers: int = 1
-    max_terms: int = _MAX_TERMS
 
     def validate(self) -> None:
         """Raise ``ConfigError`` for the first field whose value breaks its ``_FIELDS`` entry."""
@@ -199,7 +196,7 @@ class ExperimentConfig:
         return model
 
     def shot_config(self) -> ShotConfig:
-        return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff, max_terms=self.max_terms)
+        return ShotConfig(seed=self.seed, gamma_cutoff=self.gamma_cutoff)
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:

@@ -60,11 +60,11 @@ exponentials into a row of a group buffer, as many as the doubling schedule
 128, 384, 896, ... needs to pass the level with six standard deviations to
 spare, and one fill of its uniforms; the partial sums, the counts below the
 level and the gather run once per group of rows, and a row that falls short
-continues along the schedule on its own. The draws are those of doubling
-blocks and each row's cumulative sum is sequential, so a stream up to a
-higher level extends a stream up to a lower one element for element, which
-makes coefficient vectors bitwise reproducible under dimension growth,
-under a raised cutoff and under any partitioning of samples across workers.
+is drawn again block by block. The draws are those of doubling blocks and
+each row's cumulative sum is sequential, so a stream up to a higher level
+extends a stream up to a lower one element for element, which makes
+coefficient vectors bitwise reproducible under dimension growth, under a
+raised cutoff and under any partitioning of samples across workers.
 """
 
 from __future__ import annotations
@@ -291,9 +291,10 @@ class _DerivedSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a derived seed holds the 4 uint64 words that PCG64 asks for")
-        return self.words
+        # PCG64 passes the type itself, so the identity test decides.
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self.words
+        raise ValueError("a derived seed holds the 4 uint64 words that PCG64 asks for")
 
 
 def _index_words(indices: range):
@@ -347,46 +348,35 @@ def derive_rng(seed, *labels) -> np.random.Generator:
     return next(_stream_rngs(seed, None, labels))
 
 
-def _schedule():
-    """The doubling schedule of a stream's exponentials: ``(drawn, block)``,
-    the cumulative count after each block and the block, (128, 128), (384,
-    256), (896, 512), ..."""
-    drawn = block = _FIRST_BLOCK
-    while True:
-        yield drawn, block
-        block *= 2
-        drawn += block
-
-
 def _first_fill(level: float, max_terms: int) -> int:
-    """Exponentials drawn per stream at once: the first size of the schedule
-    that reaches level + 6 sqrt(level), six standard deviations above the
-    Poisson count's mean, or ``max_terms``, where a stream not yet past the
-    level fails."""
+    """Exponentials drawn per stream at once: the first size of the doubling
+    schedule 128, 384, 896, ... that reaches level + 6 sqrt(level), six
+    standard deviations above the Poisson count's mean, or ``max_terms``."""
     target = min(level + 6.0 * math.sqrt(max(level, 0.0)), max_terms)
-    return next(drawn for drawn, _ in _schedule() if drawn >= target)
+    drawn = _FIRST_BLOCK
+    while drawn < target:
+        drawn = 2 * drawn + _FIRST_BLOCK
+    return drawn
 
 
-def _replayed(g: np.ndarray, rng: np.random.Generator, level: float, max_terms: int) -> np.ndarray:
-    """One stream's arrivals below ``level``, or its ``TruncationCapError``, as the schedule gives them.
-
-    ``g`` holds the stream's first partial sums, a size of the schedule;
-    ``rng`` its exponential generator, which then continues it. Walking the
-    schedule, a stream stops at the first size past ``level``, and fails at
-    a size that reaches ``max_terms`` first, or when more than ``max_terms``
-    arrivals lie below ``level``. A continued block's partial sums start from
-    the last one, as a cumulative sum of the whole stream would.
-    """
-    for drawn, block in _schedule():
-        if drawn > len(g):
-            more = np.empty(block + 1)
-            more[0] = g[-1]
-            rng.standard_exponential(out=more[1:])
-            g = np.concatenate((g, np.cumsum(more)[1:]))
-        if g[drawn - 1] > level:
+def _walked(rng: np.random.Generator, level: float, max_terms: int) -> np.ndarray:
+    """One stream's arrivals below ``level`` from its fresh exponential
+    generator, drawn in doubling blocks 128, 256, ... until one passes the
+    level. Raises ``TruncationCapError`` at a block that reaches
+    ``max_terms`` first, or when more than ``max_terms`` arrivals lie below
+    the level."""
+    blocks: list[np.ndarray] = []
+    block = _FIRST_BLOCK
+    n_drawn = 0
+    while True:
+        blocks.append(rng.standard_exponential(block))
+        n_drawn += block
+        g = (np.concatenate(blocks) if len(blocks) > 1 else blocks[0]).cumsum()
+        if g[-1] > level:
             break
-        if drawn >= max_terms:
-            raise TruncationCapError(drawn, float(g[drawn - 1]), level, max_terms)
+        if n_drawn >= max_terms:
+            raise TruncationCapError(n_drawn, float(g[-1]), level, max_terms)
+        block *= 2
     n = int(g.searchsorted(level))
     if n > max_terms:
         raise TruncationCapError(n, float(g[n - 1]), level, max_terms)
@@ -412,7 +402,9 @@ def arrival_streams(seed, indices: range | None, labels: tuple, level: float,
     blocks, and a row's cumulative sum is sequential, so a stream up to a
     higher level extends the stream up to a lower one element for element.
     A row still at or below the level (probability about 1e-9), or one that
-    breaks the cap, is walked along the schedule on its own (``_replayed``).
+    breaks the cap, is drawn again from a fresh generator of its key, block
+    by block (``_walked``), which gives the same arrivals or the same
+    ``TruncationCapError``.
     Raises ``TruncationCapError`` when more than ``max_terms`` arrivals of a
     stream lie below ``level``.
     """
@@ -427,8 +419,7 @@ def arrival_streams(seed, indices: range | None, labels: tuple, level: float,
     counts, parts = offsets[1:], []
     for lo in range(0, n, len(buf)):
         g = buf[:min(len(buf), n - lo)]
-        rngs = [rng for _, rng in zip(g, exp_rngs)]
-        for row, rng in zip(g, rngs):
+        for row, rng in zip(g, exp_rngs):
             rng.standard_exponential(out=row)
         np.cumsum(g, axis=1, out=g)
         below = g < level
@@ -440,14 +431,18 @@ def arrival_streams(seed, indices: range | None, labels: tuple, level: float,
             continue
         rows = [row[:c] for row, c in zip(g, count)]
         for j in np.flatnonzero(~ok):
-            rows[j] = _replayed(g[j], rngs[j], level, max_terms)
+            key = None if indices is None else indices[lo + j:lo + j + 1]
+            rows[j] = _walked(next(_stream_rngs(seed, key, (*labels, 0))), level, max_terms)
             count[j] = len(rows[j])
         parts.append(np.concatenate(rows))
+        del rows
+    del buf, g, row, below  # the group buffer and its views go before the arrivals are joined
     gammas = parts[0] if len(parts) == 1 else np.concatenate(parts)
     del parts  # the groups' copies go before the uniforms come
     np.cumsum(counts, out=counts)
     uniforms = np.empty(offsets[-1])
-    for rng, a, b in zip(_stream_rngs(seed, indices, (*labels, 1)), offsets[:-1], offsets[1:]):
+    bounds = offsets.tolist()
+    for rng, a, b in zip(_stream_rngs(seed, indices, (*labels, 1)), bounds, bounds[1:]):
         rng.random(out=uniforms[a:b])
     return gammas, uniforms, offsets
 

@@ -109,7 +109,6 @@ class TestConfig:
         # Rejected before the n x d and grid x d matrices (GBs here) are allocated.
         "dimension-past-exact-anchors": ("mc-mean", ["--n-paths", "2", "--d-list", "100000000"], "d_list"),
         "validate-too-few-paths": ("validate", ["--n-paths", "50"], "100 paths"),
-        "max-terms-zero": ("mc-mean", ["--max-terms", "0"], "max_terms"),
         "brownian-nan-sigma2": ("mc-mean", ["--model", "brownian", "--model-param", "sigma2=nan"], "finite"),
         "gamma-nan-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=nan"], "finite"),
         "gamma-inf-c": ("mc-mean", ["--model", "gamma", "--model-param", "c=inf"], "finite"),
@@ -427,20 +426,6 @@ class TestMcMean:
         assert "4.547e+06" in err and "max_terms=1000000" in err and "0 drawn" in err
         assert not list(tmp_path.iterdir())
 
-    def test_max_terms_flag_sets_the_cap(self, tmp_path, capsys):
-        # gamma(c=1) truncates at 45.47 arrivals: above a cap of 10, below
-        # one of 1000, which leaves the files as the default cap does.
-        argv = ["mc-mean", "--model", "gamma", "--n-paths", "2", "--d-list", "3", "--grid-n", "3"]
-        assert main([*argv, "--max-terms", "10", "--output-dir", str(tmp_path / "a")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: truncation level 45.47 needs more than max_terms=10 terms")
-        assert err.count("\n") == 1
-        assert not list((tmp_path / "a").iterdir())
-        assert main([*argv, "--max-terms", "1000", "--output-dir", str(tmp_path / "b")]) == 0
-        assert main([*argv, "--output-dir", str(tmp_path / "c")]) == 0
-        name = "levykle_mcmean_d3.csv"
-        assert read(tmp_path / "b" / name) == read(tmp_path / "c" / name)
-
     def test_huge_rate_exits_three_not_two(self, tmp_path, capsys):
         # gamma(c=1e13) is a valid model (alpha = 1e13): only its series
         # length, 4.547e14 terms, is out of reach.
@@ -489,15 +474,14 @@ class TestMcMean:
     def test_memory_estimate_counts_the_streams(self, tmp_path, monkeypatch, capsys):
         # gamma(c=2000) truncates at 90940 arrivals per path, so a 512-path
         # chunk's streams and their inversion hold about 4.5 GB, where the
-        # matrix, the samples and the paths are under 1 MB; 4 paths of
-        # gamma(c=1e5) under a cap of 1e7 hold 1.7 GB; validate's direct
-        # series draws 100 streams of gamma(c=20000) at once, 8.7 GB.
-        # With the physical memory read as 1 GiB each run stops with one line
-        # before sampling, and so does a raised cap that a level fits.
+        # matrix, the samples and the paths are under 1 MB; 16 paths of
+        # gamma(c=20000), at 909400 arrivals each, hold 1.4 GB; validate's
+        # direct series draws 100 such streams at once, 8.7 GB. With the
+        # physical memory read as 1 GiB each run stops with one line before
+        # sampling.
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
         for argv in (["mc-mean", "--model", "gamma", "--model-param", "c=2000", "--n-paths", "512"],
-                     ["simulate-paths", "--model", "gamma", "--model-param", "c=100000", "--max-terms", "10000000",
-                      "--n-paths", "4"],
+                     ["simulate-paths", "--model", "gamma", "--model-param", "c=20000", "--n-paths", "16"],
                      ["validate", "--model", "gamma", "--model-param", "c=20000", "--n-paths", "100"]):
             rc = main([*argv, "--d-list", "3", "--grid-n", "3", "--output-dir", str(tmp_path)])
             assert rc == 3

@@ -137,15 +137,18 @@ class TestGroupedStreams:
         assert gammas.shape == uniforms.shape == (0,)
         assert offsets.tolist() == [0]
 
-    def test_overrun_rows_continue_along_the_schedule(self, monkeypatch):
+    def test_overrun_rows_are_drawn_again(self, monkeypatch):
         # A first fill of 128 leaves every stream at level 454.7 short of
-        # it, so each continues on its own generator (384, 896, ...), in
-        # groups of 3 rows.
+        # it, so each is drawn again from a fresh generator in doubling
+        # blocks, in groups of 3 rows.
         monkeypatch.setattr(shotnoise, "_first_fill", lambda level, max_terms: 128)
         monkeypatch.setattr(shotnoise, "_FILL_DOUBLES", 3 * 128)
         _assert_streams_match(11, range(2**32 - 4, 2**32 + 4), PART_POS, 454.7)
-        # Continued to 384 draws, none of them past the level, a stream
-        # stops there with a cap of 300.
+        stream = arrival_stream(11, 454.7)
+        ref_g, ref_u = _numpy_stream(11, (), 454.7)
+        assert np.array_equal(stream.gammas, ref_g) and np.array_equal(stream.uniforms, ref_u)
+        # Drawn again to 384, none of them past the level, a stream stops
+        # there with a cap of 300.
         assert _cap_fields(lambda: arrival_streams(11, range(4), (PART_POS,), 454.7, 300)) == \
             _cap_fields(lambda: _numpy_stream(11, (0, PART_POS), 454.7, 300))
 
@@ -165,9 +168,10 @@ class TestGroupedStreams:
     def test_group_buffer_stays_within_its_constant(self):
         # At level 2e4 a stream's first fill is 32640 exponentials, so 256
         # streams in one buffer would take 67 MB; groups of 32 rows take
-        # 8.4 MB. At its peak the call holds its outputs' size (the groups'
-        # arrivals and their concatenation, or the arrivals and the
-        # uniforms), one group buffer and its mask.
+        # 8.4 MB. While it fills, the call holds the arrivals so far, one
+        # group buffer and its mask; after the last group, the buffer is
+        # gone and it holds at most its outputs' size (the groups' arrivals
+        # and their concatenation, or the arrivals and the uniforms).
         tracemalloc.start()
         try:
             gammas, uniforms, _ = arrival_streams(5, range(256), (PART_POS,), 2e4)
