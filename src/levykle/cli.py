@@ -44,7 +44,7 @@ from .shotnoise import _CHUNK, ShotConfig, TruncationCapError, _stop_levels, sam
 # ``sample_coeffs_batch``.
 from .shotnoise import sample_coeffs  # noqa: F401
 from .special import default_e1_inverse, exp_integral_e1
-from .validation import _KS_DIRECT, run_validation
+from .validation import run_validation
 
 __all__ = ["ConfigError", "ExperimentConfig", "main"]
 
@@ -57,10 +57,11 @@ _MOMENT_SQUARES = 6
 # per dimension at two, for one 512-path chunk under tracemalloc).
 _PATH_ARRAYS = 2
 # Doubles per arrival of the streams drawn at once, at their peak: the
-# arrivals, their uniforms and jump sizes, and the jump-size inversion's
-# temporaries (measured: 11.1 for a gamma chunk at stop levels 909 and 9094,
-# in the sampler and in the direct series, under tracemalloc).
-_STREAM_ARRAYS = 12
+# arrivals, their uniforms and jump sizes, and the draw's group buffer or the
+# direct series' masked sizes; the inversion's temporaries are a block long
+# (measured: 3.7 and 3.1 for a 512-sample gamma chunk at stop levels 909 and
+# 9094, in the sampler and in the direct series, under tracemalloc).
+_STREAM_ARRAYS = 4
 
 
 class ConfigError(ValueError):
@@ -423,10 +424,10 @@ def cmd_validate(cfg: ExperimentConfig, out_path: str | None) -> int:
         raise ConfigError(f"cannot write report {out_path}: no such directory")
     model = cfg.build_model()
     # The suites take every sample at once; the moment suite's correlations,
-    # second moments and their SE are d x d. The sampler draws the streams of
-    # one chunk at a time, the KS suite's direct series up to _KS_DIRECT.
+    # second moments and their SE are d x d. The sampler and the KS suite's
+    # direct series each draw the streams of one chunk at a time.
     d = max(cfg.d_list)
-    streams = _stream_doubles(cfg, model, min(cfg.n_paths, max(_CHUNK, _KS_DIRECT)))
+    streams = _stream_doubles(cfg, model, min(cfg.n_paths, _CHUNK))
     _check_memory(d, cfg.n_paths * d + _MOMENT_SQUARES * d * d + streams,
                   "the samples, the arrival streams and the moment suite's d x d matrices")
     report = run_validation(model, T=cfg.T, d=max(cfg.d_list), n_samples=cfg.n_paths,

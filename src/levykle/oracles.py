@@ -14,7 +14,8 @@ times int_0^T u_j^2 u_k^2 dt, which is exactly c_j^2 c_k^2 T / 4.
 The only ingredients shared with the samplers are the tail inverse g^{-1},
 which is pinned separately by roundtrip tests, and the arrival streams.
 
-The direct series draws its own streams through ``arrival_streams``.
+The direct series draws its own streams through ``arrival_streams`` and
+inverts them with the samplers' blocked ``_jump_sizes``.
 ``brute_force_coeffs`` takes a stream built anywhere, so it validates it:
 strictly increasing arrivals, matched uniforms in [0, 1], and a level that
 reaches the oracle's own truncation level (else ``TruncationCapError``).
@@ -29,7 +30,15 @@ import numpy as np
 
 from .basis import KleBasis
 from .models import LevyModel, SplitModel, TailIntegral
-from .shotnoise import ArrivalStream, ShotConfig, TruncationCapError, arrival_streams, gamma_stop_level
+from .shotnoise import (
+    _CHUNK,
+    ArrivalStream,
+    ShotConfig,
+    TruncationCapError,
+    _jump_sizes,
+    arrival_streams,
+    gamma_stop_level,
+)
 from .special import quad, quad_vector
 
 __all__ = [
@@ -92,19 +101,28 @@ def direct_series_subordinator(tail: TailIntegral, T: float, t, n: int, part_lab
     the coefficient samplers use, which makes it a distributional oracle for
     the expansion at matching parameters. ``t`` is a time or a 1-d array of
     times; the result has shape (n,) or (n, len(t)). At t = T every retained
-    jump counts. Raises ``TruncationCapError`` when a stream needs more than
-    ``cfg.max_terms`` terms.
+    jump counts. The streams are drawn and inverted ``_CHUNK`` samples at a
+    time, as the samplers draw theirs, so the arrays held at once stay those
+    of one chunk, and each draw sums its own jumps alone: a row's value
+    depends on its stream, not on n or the chunking. Raises
+    ``TruncationCapError`` when a stream needs more than ``cfg.max_terms``
+    terms.
     """
     stop = gamma_stop_level(tail, T, cfg)
-    gammas, uniforms, offsets = arrival_streams(cfg.seed, range(n), (part_label,), stop, cfg.max_terms)
     tt = np.asarray(t, dtype=float)
     out = np.zeros((n, tt.size))
-    if offsets[-1]:
-        sizes = np.atleast_1d(np.asarray(tail.g_inv(gammas / T), dtype=float))
-        times = T * uniforms
+    for lo in range(0, n, _CHUNK):
+        gammas, times, offsets = arrival_streams(cfg.seed, range(lo, min(lo + _CHUNK, n)), (part_label,),
+                                                 stop, cfg.max_terms)
+        sizes = _jump_sizes(tail, gammas, T)
+        del gammas
+        times *= T
+        # np.add.reduceat gives an empty segment the element at its start,
+        # so only the draws with jumps are summed; the rest stay 0.
+        some = np.flatnonzero(np.diff(offsets))
         for j, ti in enumerate(tt.ravel()):
-            cs = np.concatenate(([0.0], np.cumsum(np.where(times < ti, sizes, 0.0))))
-            out[:, j] = cs[offsets[1:]] - cs[offsets[:-1]]
+            out[lo + some, j] = np.add.reduceat(np.where(times < ti, sizes, 0.0), offsets[some])
+        del sizes, times  # a chunk's arrays go before the next chunk's are drawn
     return out[:, 0] if tt.ndim == 0 else out
 
 

@@ -105,9 +105,12 @@ _FIRST_BLOCK = 128
 # Doubles in the buffer that a group of arrival streams fills at once.
 _FILL_DOUBLES = 1 << 20
 _MAX_TERMS = 1_000_000
-# Samples per chunk: per part, one jump-size inversion and one ``shot_sum``
+# Samples per chunk: per part, one jump-size array and one ``shot_sum``
 # call; the CLI samples and reconstructs a chunk at a time.
 _CHUNK = 512
+# Arrivals per block of the jump-size inversion (``_jump_sizes``), which
+# bounds its temporaries by a block rather than by a chunk's arrivals.
+_INVERT_BLOCK = 1 << 15
 # shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
 # tile, padded rows per batch and per span of laid-out rows past d = 64, and
 # rows per group of whole pieces at d <= 64; fixed, so that no column depends
@@ -461,6 +464,20 @@ def arrival_stream(seed, level: float, max_terms: int = _MAX_TERMS) -> ArrivalSt
     return ArrivalStream(gammas, uniforms, level)
 
 
+def _jump_sizes(tail: TailIntegral, gammas: np.ndarray, T: float) -> np.ndarray:
+    """The jump sizes ``tail.g_inv(gammas / T)``, in one new array.
+
+    The inversion runs on blocks of ``_INVERT_BLOCK`` arrivals, each written
+    into place, so its temporaries stay a block long whatever the number of
+    arrivals; it is elementwise, so the sizes equal one call on all of them.
+    """
+    sizes = np.empty(len(gammas))
+    for lo in range(0, len(gammas), _INVERT_BLOCK):
+        hi = lo + _INVERT_BLOCK
+        sizes[lo:hi] = tail.g_inv(gammas[lo:hi] / T)
+    return sizes
+
+
 def _pieces(offsets: np.ndarray):
     """Cut each sample's rows into pieces of at most ``_ROW_BUDGET`` rows.
 
@@ -802,9 +819,11 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
          start_index: int, keep: bool = False):
     """The sampling kernel: ``(Z, n_pos, n_neg, kept)`` for consecutive indices.
 
-    Jump-size inversion and ``shot_sum`` run once per ``_CHUNK`` samples and
-    part, on the chunk's flattened jumps, which is elementwise identical to
-    each sample alone. Row j of a chunk gets the Gaussian vector drawn from
+    ``shot_sum`` runs once per ``_CHUNK`` samples and part, on the chunk's
+    flattened jumps, which is elementwise identical to each sample alone; the
+    jump sizes are inverted into one array of the chunk's arrivals, a block
+    at a time (``_jump_sizes``), so the chunk's arrays peak at about four
+    doubles per arrival. Row j of a chunk gets the Gaussian vector drawn from
     the stream keyed (index, PART_GAUSS). With ``keep``, ``kept[i]`` maps
     each part label to the row's ``ArrivalStream``.
     """
@@ -820,17 +839,16 @@ def _run(model: SplitModel, basis: KleBasis, cfg: ShotConfig, n_samples: int,
         rows = Z[lo:hi]
         for label, sign, tail, stop, drift in parts:
             gammas, uniforms, offsets = arrival_streams(cfg.seed, idx, (label,), stop, cfg.max_terms)
-            sizes = (
-                np.atleast_1d(np.asarray(tail.g_inv(gammas / basis.T), dtype=float))
-                if offsets[-1] else np.empty(0)
-            )
+            sizes = _jump_sizes(tail, gammas, basis.T)
             # Negating the sizes negates the sum exactly.
+            sizes *= sign
             rows += sign * drift
-            shot_sum(basis, sign * sizes, uniforms, offsets, out=rows)
+            shot_sum(basis, sizes, uniforms, offsets, out=rows)
             if keep:
                 for j, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
                     kept[lo + j][label] = ArrivalStream(gammas[a:b], uniforms[a:b], stop)
             counts[label, lo:hi] = np.diff(offsets)
+            del gammas, uniforms, sizes  # a part's arrays go before the next part's are drawn
         if gauss_scale is not None:
             for row, rng in zip(rows, _stream_rngs(cfg.seed, idx, (PART_GAUSS,))):
                 row += gauss_scale * rng.standard_normal(basis.d)

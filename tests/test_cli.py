@@ -473,15 +473,14 @@ class TestMcMean:
 
     def test_memory_estimate_counts_the_streams(self, tmp_path, monkeypatch, capsys):
         # gamma(c=2000) truncates at 90940 arrivals per path, so a 512-path
-        # chunk's streams and their inversion hold about 4.5 GB, where the
-        # matrix, the samples and the paths are under 1 MB; 16 paths of
-        # gamma(c=20000), at 909400 arrivals each, hold 1.4 GB; validate's
-        # direct series draws 100 such streams at once, 8.7 GB. With the
-        # physical memory read as 1 GiB each run stops with one line before
-        # sampling.
+        # chunk's streams and their jump sizes hold about 1.5 GB, where the
+        # matrix, the samples and the paths are under 1 MB; 48 paths of
+        # gamma(c=20000), at 909400 arrivals each, hold 1.4 GB; validate
+        # draws 100 such streams at once, 2.9 GB. With the physical memory
+        # read as 1 GiB each run stops with one line before sampling.
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
         for argv in (["mc-mean", "--model", "gamma", "--model-param", "c=2000", "--n-paths", "512"],
-                     ["simulate-paths", "--model", "gamma", "--model-param", "c=20000", "--n-paths", "16"],
+                     ["simulate-paths", "--model", "gamma", "--model-param", "c=20000", "--n-paths", "48"],
                      ["validate", "--model", "gamma", "--model-param", "c=20000", "--n-paths", "100"]):
             rc = main([*argv, "--d-list", "3", "--grid-n", "3", "--output-dir", str(tmp_path)])
             assert rc == 3

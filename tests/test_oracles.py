@@ -5,11 +5,13 @@ is trusted to judge anything else.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from levykle import cli
 from levykle.basis import KleBasis
 from levykle.models import (
     as_split,
@@ -28,6 +30,7 @@ from levykle.oracles import (
     mixed_fourth_cumulant,
 )
 from levykle.shotnoise import (
+    _CHUNK,
     PART_POS,
     ShotConfig,
     TruncationCapError,
@@ -36,7 +39,7 @@ from levykle.shotnoise import (
     gamma_stop_level,
     sample_coeffs,
 )
-from levykle.special import quad
+from levykle.special import default_e1_inverse, quad
 
 # lambda_1 / 2 for unit-variance Brownian coefficients on [0, 1]
 BM_EXPONENT_E1 = 0.20264236728467554
@@ -118,22 +121,17 @@ class TestDirectSeries:
         assert np.array_equal(vals, np.zeros(50))
 
     def test_nondecreasing_in_time(self):
-        # One stream is nondecreasing exactly: its values are running sums
-        # of nonnegative sizes, and rounding is monotone. In a batch each
-        # value is the difference of two running totals over all samples'
-        # terms (the arithmetic that keeps t = T bitwise), so it may dip by
-        # at most the rounding of those totals, 2 n eps times the total.
+        # Each value is the sum of its own draw's sizes, masked to the jumps
+        # before t, and rounding is monotone, so a draw is nondecreasing in
+        # t exactly, in a batch as alone.
         tail = make_gamma(1.0, 1.0).tail_pos
         cfg = ShotConfig(seed=3)
         ts = np.linspace(0.0, 1.0, 21)
         one = direct_series_subordinator(tail, 1.0, ts, 1, 7, cfg)
-        assert np.all(np.diff(one, axis=1) >= 0.0)
         vals = direct_series_subordinator(tail, 1.0, ts, 50, 7, cfg)
         assert vals.shape == (50, 21)
         assert np.array_equal(vals[0], one[0])
-        n_terms = arrival_streams(cfg.seed, range(50), (7,), gamma_stop_level(tail, 1.0, cfg))[2][-1]
-        slack = 2.0 * n_terms * np.finfo(float).eps * vals[:, -1].sum()
-        assert np.all(np.diff(vals, axis=1) >= -slack)
+        assert np.all(np.diff(vals, axis=1) >= 0.0)
         assert np.array_equal(vals[:, -1], direct_series_subordinator(tail, 1.0, 1.0, 50, 7, cfg))
 
     def test_terminal_mean_matches_model(self):
@@ -153,15 +151,50 @@ class TestDirectSeries:
             direct_series_subordinator(g.tail_pos, 1.0, 1.0, 4, 7, ShotConfig(seed=3, max_terms=8))
 
     def test_terminal_value_is_sum_of_retained_jumps(self):
-        # At t = T every jump counts: per sample, the cumulative sum of the
-        # inverted arrival levels between the stream offsets.
+        # At t = T every jump counts, at t < T the jumps before it: per draw,
+        # the sum of the inverted arrival levels between its stream offsets,
+        # over its own jumps alone. The second chunk of 700 draws equals the
+        # sums drawn from its streams alone, bitwise, so no draw depends on
+        # the draws before it.
         tail = make_gamma(1.0, 1.0).tail_pos
         cfg = ShotConfig(seed=7)
-        stop = gamma_stop_level(tail, 1.0, cfg)
-        gammas, _, offsets = arrival_streams(cfg.seed, range(300), (8,), stop, cfg.max_terms)
-        cs = np.concatenate(([0.0], np.cumsum(tail.g_inv(gammas / 1.0))))
-        want = cs[offsets[1:]] - cs[offsets[:-1]]
-        assert np.array_equal(direct_series_subordinator(tail, 1.0, 1.0, 300, 8, cfg), want)
+        ts = np.array([0.4, 1.0])
+        gammas, uniforms, offsets = arrival_streams(cfg.seed, range(_CHUNK, 700), (8,),
+                                                    gamma_stop_level(tail, 1.0, cfg), cfg.max_terms)
+        assert np.all(np.diff(offsets) > 0)
+        sizes = tail.g_inv(gammas / 1.0)
+        want = np.stack([np.add.reduceat(np.where(uniforms < t, sizes, 0.0), offsets[:-1]) for t in ts], axis=1)
+        assert np.array_equal(direct_series_subordinator(tail, 1.0, ts, 700, 8, cfg)[_CHUNK:], want)
+
+    def test_draws_without_jumps_are_zero(self):
+        # rate 0.05 over T = 1 leaves about 95% of the streams empty, the
+        # last one included; np.add.reduceat would give an empty draw the
+        # first jump of the next one, or fail past the end.
+        cp = make_cp_exponential(rate=0.05, rho=1.5)
+        cfg = ShotConfig(seed=9)
+        ts = np.array([0.5, 1.0])
+        vals = direct_series_subordinator(cp.tail_pos, 1.0, ts, 700, 7, cfg)
+        offsets = arrival_streams(cfg.seed, range(700), (7,), gamma_stop_level(cp.tail_pos, 1.0, cfg))[2]
+        empty = np.diff(offsets) == 0
+        assert empty[-1] and empty[_CHUNK - 1] and 0 < np.count_nonzero(~empty) < 100
+        assert np.array_equal(vals[empty], np.zeros((np.count_nonzero(empty), 2)))
+        assert np.all(vals[~empty, -1] > 0.0)
+
+    def test_holds_one_chunk_of_streams(self):
+        # 2000 draws of gamma(20), stop level 909.4: the streams are drawn
+        # and inverted a chunk at a time, so the peak stays within the CLI's
+        # estimate for one chunk's streams (154.5 MiB when all 2000 were
+        # drawn at once, 10.9 times this bound).
+        tail = make_gamma(20.0, 1.0).tail_pos
+        cfg = ShotConfig(seed=7)
+        default_e1_inverse()
+        tracemalloc.start()
+        try:
+            direct_series_subordinator(tail, 1.0, 1.0, 2000, 7, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._STREAM_ARRAYS * 8 * _CHUNK * gamma_stop_level(tail, 1.0, cfg)
 
     def test_distinct_part_labels_are_distinct_draws(self):
         tail = make_gamma(1.0, 1.0).tail_pos

@@ -33,7 +33,7 @@ from levykle.shotnoise import (
     shot_sum,
     extend_dimension,
 )
-from levykle.special import quad
+from levykle.special import default_e1_inverse, quad
 from levykle.validation import moment_suite
 
 
@@ -594,6 +594,32 @@ class TestBatchSampler:
         a, _, _ = _split_batch(vg, basis, cfg, 25, 0, 4)
         b, _, _ = sample_coeffs_batch(vg, basis, cfg, 25)
         assert np.array_equal(a, b)
+
+    def test_chunk_holds_four_doubles_per_arrival(self):
+        # A 512-sample gamma(20) chunk draws about 465600 arrivals. Its
+        # arrivals, uniforms and jump sizes, with the draw's group buffer or
+        # one block of the inversion, peak at 3.7 doubles per arrival (11.1
+        # when the sizes were inverted in one call); the CLI's memory
+        # estimate counts 4 (``cli._STREAM_ARRAYS``).
+        model = as_split(make_gamma(20.0, 1.0))
+        basis = KleBasis(T=1.0, d=5, alpha=model.alpha)
+        default_e1_inverse()
+        tracemalloc.start()
+        try:
+            _, n_pos, _ = sample_coeffs_batch(model, basis, ShotConfig(seed=7), shotnoise._CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n_pos.sum()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_jump_sizes_blocks_equal_one_inversion(self, extra):
+        # The inversion is elementwise, so the block edges move no bit: the
+        # arguments span the E1 inverse's table and its closed form.
+        n = shotnoise._INVERT_BLOCK + extra
+        gammas = np.cumsum(np.random.default_rng(n).standard_exponential(n)) * (100.0 / n)
+        for tail in (make_gamma(2.0, 1.0).tail_pos, make_cp_exponential(rate=30.0, rho=1.5).tail_pos):
+            assert np.array_equal(shotnoise._jump_sizes(tail, gammas, 2.0), tail.g_inv(gammas / 2.0))
 
     def test_gaussian_part_variances(self):
         bm = as_split(make_brownian(1.0))
