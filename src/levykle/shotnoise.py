@@ -31,18 +31,19 @@ so they come from rotation ladders (``basis._rotations``: a few trig
 calls per row, then products and sums) rather than one ``cos`` call per row
 and column.
 Columns k <= 64 are x cos((k - 1/2) pi u), a ladder from pi u / 2 in steps
-of pi u, summed per piece with ``np.add.reduceat``. Past d = 64 that one
-ladder per row is also the phase table of every later column: column
+of pi u, each piece summed as ``np.add.reduceat`` sums it. Past d = 64 that
+one ladder per row is also the phase table of every later column: column
 64 b + m + 1 is x cos(64 b pi u + (m + 1/2) pi u), ladder rung m rotated by
 the anchor 64 b pi u, and BLAS sums the rotated columns: in tiles of 8
-blocks (512 columns, zero-padded past d), one matrix product of a fixed
-shape per piece and tile, with the piece zero-padded to a row bucket that
-its own row count sets (the next multiple of 16). The anchors come from
-two short ladders in exactly reduced steps of 64 pi u and 512 pi u, so a
-row takes 8 trig calls up to d = 4160. All sizes are module constants, so a
-column's value depends on k and the sample's jumps alone, never on d, the
-chunk or the number of BLAS threads (see ``shot_sum`` for why, and for the
-measured error).
+blocks (512 columns, zero-padded past d), one matrix product per piece and
+tile whose shape its own row count sets. The pieces are sorted by row count
+and laid end to end without padding, so a run of pieces of one row count is
+one stacked product, and the rows are taken in batches of about 1024, a few
+long numpy calls each. The anchors are complex products of two short
+ladders in exactly reduced steps of 64 pi u and 512 pi u, so a row takes 8
+trig calls up to d = 4160. A column's value depends on k and the sample's
+jumps alone, never on d, the chunk or the number of BLAS threads (see
+``shot_sum`` for why, and for the measured error).
 
 Reproducibility: one routine, ``arrival_streams``, draws every arrival
 stream, the samplers' and the validation suites' alike, a chunk of sample
@@ -69,6 +70,7 @@ raised cutoff and under any partitioning of samples across workers.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -76,7 +78,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .basis import _BLOCK, _ROW_QUANTUM, KleBasis, _anchor_angles, _doubled_steps, _ladder, _rotations
+from .basis import _BLOCK, KleBasis, _anchor_angles, _doubled_steps, _ladder
 from .models import PART_NEG, PART_POS, SplitModel, TailIntegral, center
 
 __all__ = [
@@ -111,16 +113,16 @@ _CHUNK = 512
 # Arrivals per block of the jump-size inversion (``_jump_sizes``), which
 # bounds its temporaries by a block rather than by a chunk's arrivals.
 _INVERT_BLOCK = 1 << 15
-# shot_sum: rows per piece, anchored blocks of ``_BLOCK`` columns per GEMM
-# tile, padded rows per batch and per span of laid-out rows past d = 64, and
-# rows per group of whole pieces at d <= 64; fixed, so that no column depends
-# on d or the chunk (a piece's padded size is a multiple of ``_ROW_QUANTUM``,
-# as a reconstruction's rows are). The batch and span sizes were chosen with
-# two worker threads (see ``_add_batches``).
+# shot_sum: rows per piece and anchored blocks of ``_BLOCK`` columns per GEMM
+# tile, fixed, so that no column depends on d or the chunk (a piece's
+# products take its exact row count); rows per batch and per span of the
+# pieces laid end to end past d = 64, and rows per group of whole pieces at
+# d <= 64, which set only memory and speed. The batch and span sizes were
+# chosen with one and two worker threads (see ``_add_batches``).
 _ROW_BUDGET = 512
 _TILE = 8
 _BATCH_ROWS = 1024
-_SPAN_ROWS = 8192
+_SPAN_ROWS = 4096
 _HEAD_ROWS = 4096
 # numpy.random.SeedSequence (O'Neill's seed_seq) constants; see ``_seed_words``.
 _POOL_SIZE = 4
@@ -492,134 +494,130 @@ def _pieces(offsets: np.ndarray):
     return sample, start, np.minimum(start + _ROW_BUDGET, offsets[1:][sample])
 
 
-def _padded_rows(x, u, start, end, first, total: int):
-    """The rows of pieces ``start:end`` in flat arrays of ``total`` rows.
+def _piece_sums(terms: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The sums of ``terms`` along the rows, one row per piece: (pieces, len(terms)).
 
-    Piece p begins at row ``first[p]``; the rows between pieces are zero.
+    ``terms`` holds one column of the head per row and one jump per column,
+    so that ``np.add.reduceat`` runs along contiguous memory; piece p is the
+    columns from ``lo[p]`` to the next piece's start (the last one to the
+    end). numpy adds a piece's first jump to a pairwise sum of the rest.
+    Both routes of ``shot_sum`` sum the head here, so its bits do not depend
+    on d.
     """
-    n = end - start
-    piece = np.repeat(np.arange(len(n)), n)
-    src = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
-    dst = src + (first - start)[piece]
-    xp, up = np.zeros(total), np.zeros(total)
-    xp[dst], up[dst] = x[src], u[src]
-    return xp, up
+    return np.add.reduceat(terms, lo, axis=1).T
 
 
-def _piece_sums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The sums of ``terms[:, lo_p:hi_p]`` along the rows, one row per piece p: (pieces, len(terms)).
+def _head_cosines(u: np.ndarray, n: int) -> np.ndarray:
+    """cos((m + 1/2) pi u) for m < n, (n, len(u)): ``_rotations(pi u / 2, pi u, n)[0]`` bitwise.
 
-    ``terms`` holds one column of the head per row and one jump per
-    column, so that ``np.add.reduceat`` runs along contiguous memory; numpy
-    adds a piece's first jump to a pairwise sum of the rest. The bounds go
-    to reduceat as the pairs (lo_p, hi_p) and every second sum is kept; a
-    last hi_p equal to the column count is left off, as reduceat takes no
-    index past the end and its last sum runs to the end anyway.
+    The ladder's last doubling writes sin rungs that only a longer ladder
+    would read, so it writes the cos rungs alone.
     """
-    bounds = np.stack((lo, hi), axis=1).ravel()
-    if bounds[-1] == terms.shape[1]:
-        bounds = bounds[:-1]
-    return np.add.reduceat(terms, bounds, axis=1)[:, ::2].T
+    step = np.pi * u
+    c = np.empty((n, len(u)))
+    c[0] = np.cos(0.5 * step)
+    if n > 1:
+        half = 1 << (n - 1).bit_length() - 1
+        s = np.empty((half, len(u)))
+        s[0] = np.sin(0.5 * step)
+        steps = _doubled_steps(np.cos(step), np.sin(step), n)
+        _ladder(c[:half], s, steps[:-1])
+        wc, ws = steps[-1]
+        np.multiply(c[:n - half], wc, out=c[half:])
+        c[half:] -= s[:n - half] * ws
+    return c
 
 
 def _span_ladders(x: np.ndarray, u: np.ndarray, n_groups: int):
-    """Starts and doubled steps of the rotation ladders of a span of padded rows.
+    """The first phase rungs and the anchors of a span of rows.
 
-    Each row runs 2 + n_groups ladders side by side, (2 + n_groups, rows):
-    0, the phases (m + 1/2) pi u (start pi u / 2, step pi u); 1, the fine
-    anchors x cos and x sin of 64 (e + 1) pi u (start x e^(i alpha) and step
-    alpha = 64 pi u); 2 + q, the coarse anchors cos and -sin of 512 t pi u,
-    t = _TILE q + r (start 4096 q pi u, 0 for q = 0, step beta = 512 pi u,
-    conjugated). alpha, beta and 4096 q pi u are reduced exactly
-    (``_anchor_angles``), so the anchors' error stays a few eps per rung at
-    any d and every angle's bits depend on its index and u alone; that is 8
-    trig calls per row while d <= 4160 (n_groups = 1). Returns the starts'
-    cos and sin, the ``_doubled_steps`` of all ladders for their first
-    ``_TILE`` rungs and those of the phases for the rest of their
-    ``_BLOCK`` rungs. The phases' rungs are bitwise those of
-    ``_rotations(pi u / 2, pi u, _BLOCK)``.
+    The phases (m + 1/2) pi u run a rotation ladder in real arithmetic from
+    pi u / 2 in steps of pi u, bitwise that of ``_rotations``: its first
+    2 x ``_TILE`` rungs, (16, 2, rows) cos and sin, and the
+    ``_doubled_steps`` of its later rungs up to ``_BLOCK``.
+
+    The anchors are complex and conjugated, (``_TILE``, 1 + n_groups,
+    rows): 0, the fine anchors x e^(-i 64 (e + 1) pi u), a ladder from
+    x e^(-i alpha) in steps of e^(-i alpha), alpha = 64 pi u; 1 + q, the
+    coarse anchors e^(-i 512 t pi u), t = _TILE q + r, a ladder from
+    e^(-i 4096 q pi u) (1 for q = 0) in steps of e^(-i beta), beta = 512 pi
+    u. A rung is one out-of-place complex product, which numpy rounds the
+    same wherever the element sits (an in-place product of a one-element
+    array does not; see ``_rotations``). alpha, beta and 4096 q pi u are
+    reduced exactly (``_anchor_angles``), so the anchors' error stays a few
+    eps per rung at any d and every angle's bits depend on its index and u
+    alone; that is 8 trig calls per row while d <= 4160 (n_groups = 1).
     """
     step = np.pi * u
     k = np.concatenate(([_BLOCK, _TILE * _BLOCK], _TILE * _TILE * _BLOCK * np.arange(1.0, n_groups)))
     angles = np.concatenate(((0.5 * step)[None], step[None], _anchor_angles(u, k)))
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     del angles, step
-    # Rows of cos_a: pi u / 2, pi u, alpha, beta, then 4096 q pi u for q >= 1;
-    # the start of the coarse ladder from 0 takes the place of beta.
-    rows = [0, 2, 3] + list(range(4, 3 + n_groups))
-    start_c, start_s = cos_a[rows], sin_a[rows]
-    start_c[1] *= x
-    start_s[1] *= x
-    start_c[2], start_s[2] = 1.0, 0.0
-    np.negative(start_s[2:], out=start_s[2:])
-    rows = [1, 2] + [3] * n_groups
-    step_c, step_s = cos_a[rows], sin_a[rows]
-    np.negative(step_s[2:], out=step_s[2:])
-    early = _doubled_steps(step_c, step_s, _TILE)
-    later = _doubled_steps(early[-1][0][0], early[-1][1][0], 2 * _BLOCK // _TILE)[1:]
-    return start_c, start_s, early, later
+    phases = np.empty((2 * _TILE, 2, len(u)))
+    phases[0] = cos_a[0], sin_a[0]
+    steps = _doubled_steps(cos_a[1], sin_a[1], len(phases))
+    _ladder(phases[:, 0], phases[:, 1], steps)
+    later = _doubled_steps(*steps[-1], 2 * _BLOCK // len(phases))[1:]
+    # Rows of cos_a past the phases': alpha, beta, then 4096 q pi u for q >= 1.
+    turns = np.empty(cos_a[2:].shape, dtype=complex)
+    turns.real, turns.imag = cos_a[2:], -sin_a[2:]
+    anchors = np.empty((_TILE, 1 + n_groups, len(u)), dtype=complex)
+    anchors[0, 0] = x * turns[0]
+    anchors[0, 1] = 1.0
+    anchors[0, 2:] = turns[2:]
+    w = turns[[0] + [1] * n_groups]
+    b = 1
+    while b < _TILE:
+        np.multiply(anchors[:b], w, out=anchors[b:2 * b])
+        w = w * w
+        b *= 2
+    return phases, anchors, later
 
 
-def _tiles(out: np.ndarray, xcf: np.ndarray, xsf: np.ndarray, cc: np.ndarray, nsc: np.ndarray,
-           table: np.ndarray) -> None:
-    """Write the columns past the head of a batch of padded pieces into ``out`` (pieces, tiles x 512).
+def _left_operands(anchors: np.ndarray, n_tiles: int) -> np.ndarray:
+    """The tiles' anchors x e^(-i theta_b) of a batch's rows, as reals: (tiles, _TILE, rows, 2).
 
-    ``xcf`` and ``xsf`` are x cos and x sin of the fine angles, (_TILE,
-    rows); ``cc`` and ``nsc`` cos and -sin of the coarse ones, (tiles,
-    rows); ``table`` the batch's phase ladder, (``_BLOCK``, pieces, kb, 2),
-    holding cos and sin of phi_m = (m + 1/2) pi u side by side per row.
+    Tile t, row e holds block b = 1 + _TILE t + e, theta_b = 64 b pi u: the
+    complex product of fine anchor e and coarse anchor t (``_span_ladders``),
+    x cos(theta_b) and -x sin(theta_b) side by side per row.
+    """
+    coarse = anchors[:, 1:].swapaxes(0, 1).reshape(-1, 1, anchors.shape[-1])[:n_tiles]
+    return np.multiply(coarse, anchors[:, 0]).view(float).reshape(n_tiles, _TILE, -1, 2)
+
+
+def _batch_columns(x: np.ndarray, phases: np.ndarray, anchors: np.ndarray, later, runs,
+                   n_tiles: int) -> np.ndarray:
+    """The unscaled columns of a batch of pieces laid end to end, (pieces, _BLOCK + tiles x 512).
+
+    ``phases``, ``anchors`` and ``later`` are the batch's rows of
+    ``_span_ladders``. ``runs`` are ``(a, b, K, r)`` per run of pieces a to
+    b - 1 of K rows each, whose rows start at row r. The phases go on to
+    ``_BLOCK`` rungs in the phase table (``_BLOCK``, rows, 2), cos and sin
+    side by side per row. Its cosines times x are the head columns, summed
+    over each piece's rows (``_piece_sums``) as at d <= ``_BLOCK``.
+
     Block b >= 1 of ``_BLOCK`` columns is anchored at theta_b = 64 b pi u,
-    so its column m is
-    x cos(theta_b + phi_m) = x cos(theta_b) cos(phi_m) - x sin(theta_b) sin(phi_m),
-    and tile t holds blocks b = 1 + _TILE t + e, whose anchors rotate the
-    fine angle 64 (e + 1) pi u by the coarse angle 512 t pi u. Each tile is
-    one product of a fixed shape per piece, (x cos(theta), -x sin(theta))
-    per row (_TILE x 2 kb) times (cos(phi), sin(phi)) per row (2 kb x
-    _BLOCK). The left operands are written in place, in the layout
-    (tiles, _TILE, rows, 2) that ``np.matmul`` takes as strided matrices,
-    so that the elementwise work runs along all rows of the batch.
+    so its column m is x cos(theta_b + phi_m) = x cos(theta_b) cos(phi_m) -
+    x sin(theta_b) sin(phi_m). Tile t holds blocks b = 1 + _TILE t + e, whose
+    anchors x e^(-i theta_b), (x cos(theta_b), -x sin(theta_b)) side by
+    side, are the products of the fine and the coarse anchors. A tile is
+    one product of a fixed shape per piece, the anchors (_TILE x 2 K) times
+    the table (2 K x _BLOCK), and a run is one ``np.matmul`` stack of them
+    over strided views of the batch's arrays.
     """
-    n_pieces, kb = table.shape[1:3]
-    n_tiles, n_rows = cc.shape
-    cc, nsc, xcf, xsf = cc[:, None], nsc[:, None], xcf[None], xsf[None]
-    lhs = np.empty((n_tiles, _TILE, n_rows, 2))
-    tmp = np.empty((n_tiles, _TILE, n_rows))
-    xc, xs = lhs[..., 0], lhs[..., 1]
-    np.multiply(cc, xcf, out=xc)
-    xc += np.multiply(nsc, xsf, out=tmp)
-    np.multiply(nsc, xcf, out=xs)
-    xs -= np.multiply(cc, xsf, out=tmp)
-    del tmp
-    np.matmul(lhs.reshape(n_tiles, _TILE, n_pieces, 2 * kb).transpose(2, 0, 1, 3),
-              table.reshape(_BLOCK, n_pieces, 2 * kb).transpose(1, 2, 0)[:, None],
-              out=out.reshape(n_pieces, n_tiles, _TILE, _BLOCK))
-
-
-def _batch_columns(x: np.ndarray, ladders, lo: np.ndarray, hi: np.ndarray,
-                   n_pieces: int, n_tiles: int) -> np.ndarray:
-    """The unscaled columns of a batch of padded pieces, (pieces, _BLOCK + tiles x 512).
-
-    ``x`` holds the batch's padded rows, piece p in ``lo[p]:hi[p]`` and zeros
-    up to the next; ``ladders`` are the starts and steps of their ladders,
-    sliced to the batch (``_span_ladders``). The ladders run their first
-    ``_TILE`` rungs together; the phases then go on to ``_BLOCK`` rungs in
-    the tiles' table, whose cosines times x are the head columns, summed
-    over each piece's own rows (``_piece_sums``), and which is the phase
-    table of every tile (``_tiles``).
-    """
-    start_c, start_s, early, later = ladders
-    shape = (_TILE, *start_c.shape)
-    c, s = np.empty(shape), np.empty(shape)
-    c[0], s[0] = start_c, start_s
-    _ladder(c, s, early)
-    table = np.empty((_BLOCK, n_pieces, len(x) // n_pieces, 2))
-    cos_p, sin_p = (table[..., h].reshape(_BLOCK, -1) for h in (0, 1))
-    cos_p[:_TILE], sin_p[:_TILE] = c[:, 0], s[:, 0]
-    _ladder(cos_p, sin_p, later, filled=_TILE)
-    cols = np.empty((n_pieces, _BLOCK + n_tiles * _TILE * _BLOCK))
-    cols[:, :_BLOCK] = _piece_sums(cos_p * x, lo, hi)
-    coarse_c, coarse_s = (a[:, 2:].swapaxes(0, 1).reshape(-1, len(x))[:n_tiles] for a in (c, s))
-    _tiles(cols[:, _BLOCK:], c[:, 1], s[:, 1], coarse_c, coarse_s, table)
+    table = np.empty((_BLOCK, len(x), 2))
+    planes = table.transpose(0, 2, 1)
+    planes[:len(phases)] = phases
+    _ladder(planes[:, 0], planes[:, 1], later, len(phases))
+    cols = np.empty((runs[-1][1], _BLOCK + n_tiles * _TILE * _BLOCK))
+    lo = [r + kb * p for a, b, kb, r in runs for p in range(b - a)]
+    cols[:, :_BLOCK] = _piece_sums(table[..., 0] * x, lo)
+    lhs = _left_operands(anchors, n_tiles)
+    for a, b, kb, r in runs:
+        rows = slice(r, r + (b - a) * kb)
+        np.matmul(lhs[:, :, rows].reshape(n_tiles, _TILE, b - a, 2 * kb).transpose(2, 0, 1, 3),
+                  table[:, rows].reshape(_BLOCK, b - a, 2 * kb).transpose(1, 2, 0)[:, None],
+                  out=cols[a:b, _BLOCK:].reshape(b - a, n_tiles, _TILE, _BLOCK))
     return cols
 
 
@@ -627,45 +625,51 @@ def _add_batches(acc: np.ndarray, scale: np.ndarray, x: np.ndarray, u: np.ndarra
                  sample: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
     """Add every column of every piece into ``acc`` (d > ``_BLOCK``).
 
-    A piece of K rows is zero-padded to kb rows, K rounded up to a multiple
-    of ``_ROW_QUANTUM``. Pieces of one kb and one rank in their sample (0
-    for a sample's first piece) are stacked, at most ``_BATCH_ROWS`` padded
-    rows per batch (``_batch_columns``); ranks go in order, so the pieces of
-    a sample are added into it in row order, one per batch. The padded rows
-    are laid out in spans of at most ``_SPAN_ROWS``, batch after batch, with
-    the starts and steps of their ladders (``_span_ladders``), so that a
-    batch makes few numpy calls: each call hands the interpreter lock to
-    the other worker thread and back (ladder starts per batch instead made
-    two 512-sample chunks on two threads 11-15% slower at d = 3000, and the
-    span bounds their memory at any row count). A batch's
-    head and tiles come in one buffer, which is scaled in place and added
-    into its samples' rows.
+    The pieces are sorted by their rank in their sample (0 for a sample's
+    first piece) and then by their row count, and laid end to end without
+    padding; ranks go in order, so the pieces of a sample are added into it
+    in row order. The layout is cut into batches of whole pieces of about
+    ``_BATCH_ROWS`` rows (``_batch_columns``), and the batches into spans of
+    ``_SPAN_ROWS // _BATCH_ROWS`` (``_span_ladders``): a span makes the
+    short-ladder and trig calls of its rows at once, and a batch the rest,
+    a few long numpy calls over rows that stay in cache. Each call hands
+    the interpreter lock to the other worker thread and back, and the span
+    and the batch bound the memory at any row count. A batch's columns are
+    scaled in place and added into its samples' rows, one rank at a time.
     """
     d = acc.shape[1]
-    kbs = -(-(end - start) // _ROW_QUANTUM) * _ROW_QUANTUM
-    rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
-    key = rank * (_ROW_BUDGET + 1) + kbs
-    order = np.argsort(key, kind="stable")
-    key, kbs, sample, start, end = key[order], kbs[order], sample[order], start[order], end[order]
-    first = np.cumsum(kbs) - kbs
     n_tiles = -(-(d - _BLOCK) // (_TILE * _BLOCK))
-    spans = np.unique(np.append(np.searchsorted(first, np.arange(0, kbs.sum(), _SPAN_ROWS)), len(key)))
-    for p0, p1 in zip(spans[:-1], spans[1:]):
-        r0 = first[p0]
-        xp, up = _padded_rows(x, u, start[p0:p1], end[p0:p1], first[p0:p1] - r0, int(kbs[p0:p1].sum()))
-        start_c, start_s, early, later = _span_ladders(xp, up, -(-n_tiles // _TILE))
-        i = p0
-        while i < p1:
-            kb = int(kbs[i])
-            j = min(i + _BATCH_ROWS // kb, int(np.searchsorted(key, key[i], side="right")), p1)
-            rows = slice(first[i] - r0, first[j - 1] + kb - r0)
-            ladders = (start_c[:, rows], start_s[:, rows], [(wc[:, rows], ws[:, rows]) for wc, ws in early],
-                       [(wc[rows], ws[rows]) for wc, ws in later])
-            lo = first[i:j] - first[i]
-            cols = _batch_columns(xp[rows], ladders, lo, lo + end[i:j] - start[i:j], j - i, n_tiles)[:, :d]
+    rows = end - start
+    rank = np.arange(len(sample)) - np.searchsorted(sample, sample)
+    order = np.lexsort((rows, rank))
+    sample, start, rows = sample[order], start[order], rows[order]
+    first = np.cumsum(rows) - rows
+    # Piece indices where a batch, a rank or a run of one row count starts,
+    # each list ending with the number of pieces.
+    batches = np.unique(np.append(np.searchsorted(first, np.arange(0, first[-1] + 1, _BATCH_ROWS)),
+                                  len(rows))).tolist()
+    ranks = np.append(np.flatnonzero(np.diff(rank[order])) + 1, len(rows)).tolist()
+    runs = np.unique(np.append(np.flatnonzero(np.diff(rows)) + 1, batches)).tolist()
+    rows_l, first_l = rows.tolist(), first.tolist() + [int(first[-1] + rows[-1])]
+    per_span = _SPAN_ROWS // _BATCH_ROWS
+    for i in range(0, len(batches) - 1, per_span):
+        span = batches[i:i + per_span + 1]
+        p0, p1 = span[0], span[-1]
+        src = np.repeat(start[p0:p1] - (first[p0:p1] - first_l[p0]), rows[p0:p1])
+        src += np.arange(first_l[p1] - first_l[p0])
+        xs = x[src]
+        phases, anchors, later = _span_ladders(xs, u[src], -(-n_tiles // _TILE))
+        for q0, q1 in zip(span[:-1], span[1:]):
+            r0, r1 = first_l[q0] - first_l[p0], first_l[q1] - first_l[p0]
+            edges = runs[bisect.bisect_left(runs, q0):bisect.bisect_left(runs, q1) + 1]
+            batch_runs = [(a - q0, b - q0, rows_l[a], first_l[a] - first_l[q0]) for a, b in zip(edges[:-1], edges[1:])]
+            cols = _batch_columns(xs[r0:r1], phases[..., r0:r1], anchors[..., r0:r1],
+                                  [(wc[r0:r1], ws[r0:r1]) for wc, ws in later], batch_runs, n_tiles)
+            cols = cols[:, :d]
             cols *= scale
-            acc[sample[i:j]] += cols
-            i = j
+            groups = [q0] + ranks[bisect.bisect_right(ranks, q0):bisect.bisect_left(ranks, q1)] + [q1]
+            for a, b in zip(groups[:-1], groups[1:]):
+                acc[sample[a:b]] += cols[a - q0:b - q0]
 
 
 def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
@@ -681,26 +685,27 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
 
     A sample's rows are cut into pieces of at most ``_ROW_BUDGET`` rows, only
     past that budget and where its own rows say. Columns k <= ``_BLOCK`` are
-    x cos((k - 1/2) pi u), a rotation ladder (``_rotations``, four trig
-    calls per row) from pi u / 2 in steps of pi u; each piece is summed
-    along its rows (``_piece_sums``) and the pieces of a sample are added
-    into it in row order. At d <= ``_BLOCK`` the ladder runs over groups of
-    whole pieces of at most ``_HEAD_ROWS`` rows. Past that the pieces are
-    zero-padded and batched (``_add_batches``), and one ladder per padded
-    row serves the head and every later column: column 64 b + m + 1, b >= 1,
-    is x cos(theta_b + phi_m), ladder rung m, phi_m = (m + 1/2) pi u,
-    rotated by the anchor theta_b = 64 b pi u. BLAS sums these columns in
-    tiles of ``_TILE`` blocks (``_tiles``): one product of a fixed shape per
-    piece and tile, the piece zero-padded to a row bucket (its row count
-    rounded up to a multiple of ``_ROW_QUANTUM``) and the last tile
-    zero-padded past d. The anchors come from two ladders of ``_TILE``
-    rungs in exactly reduced steps of 64 pi u and 512 pi u
-    (``_span_ladders``), so a padded row takes 8 trig calls up to d = 4160
-    and 2 more per 4096 columns beyond, where one exact anchor per tile and
-    a phase table of its own took 34 at d = 3000. The head sums the same
-    elements in the same order on both routes, and an output element comes
-    from operations whose shapes and operands do not depend on d, on the
-    other samples of the chunk or on the chunking: every column is a
+    x cos((k - 1/2) pi u), a rotation ladder (bitwise ``_rotations``, four
+    trig calls per row) from pi u / 2 in steps of pi u; each piece is summed
+    along its rows, its first term plus a pairwise sum of the rest, and the
+    pieces of a sample are added into it in row order. At d <= ``_BLOCK``
+    the ladder runs over groups of whole pieces of at most ``_HEAD_ROWS``
+    rows (``_head_cosines``, ``_piece_sums``). Past that the pieces are
+    sorted by row count and laid end to end, without padding
+    (``_add_batches``), and one ladder per row, the phase table, serves the
+    head and every later column: column 64 b + m + 1, b >= 1, is
+    x cos(theta_b + phi_m), ladder rung m, phi_m = (m + 1/2) pi u, rotated
+    by the anchor theta_b = 64 b pi u. BLAS sums these columns in tiles of
+    ``_TILE`` blocks (``_batch_columns``): one product of a fixed shape per
+    piece and tile, whose inner dimension is twice the piece's row count,
+    the last tile zero-padded past d. The anchors are complex products of
+    two ladders of ``_TILE`` rungs in exactly reduced steps of 64 pi u and
+    512 pi u (``_span_ladders``), so a row takes 8 trig calls up to
+    d = 4160 and 2 more per 4096 columns beyond, where one exact anchor per
+    tile and a phase table of its own took 34 at d = 3000. The head sums the
+    same elements in the same order on both routes, and an output element
+    comes from operations whose shapes and operands do not depend on d, on
+    the other samples of the chunk or on the chunking: every column is a
     function of k and the sample's rows only. A BLAS product of one shape
     gives the same bits on every call; for these shapes OpenBLAS also gives
     them under one and two threads (tested), where one
@@ -708,9 +713,9 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
 
     Anchor angles are reduced mod 2 pi without rounding (``_anchor_angles``);
     a ladder adds a few eps per rung. Against np.cos of exact angles every
-    column is within 2.5e-14 of sum |x_i| for one jump, 5.0e-15 for 45 and
-    1.3e-15 for 450 (largest of 300, 60 and 12 random draws at d = 3000;
-    2.5e-14, 6.6e-15 and 1.5e-15 at d = 9000, past the first exact restart
+    column is within 2.5e-14 of sum |x_i| for one jump, 5.4e-15 for 45 and
+    1.6e-15 for 450 (largest of 300, 60 and 12 random draws at d = 3000;
+    2.6e-14, 5.5e-15 and 1.7e-15 at d = 9000, past the first exact restart
     of the coarse ladder); np.cos of the float64 product pi (k - 1/2) u is
     off by up to 1.9e-12 at d = 3000.
     """
@@ -724,15 +729,15 @@ def shot_sum(basis: KleBasis, jump_sizes: np.ndarray, uniforms: np.ndarray,
     scale = math.sqrt(2.0 * basis.T) / math.pi / k_half
     sample, start, end = _pieces(bounds)
     if d > _BLOCK:
-        _add_batches(acc, scale, x, u, sample, start, end)
+        if len(sample):
+            _add_batches(acc, scale, x, u, sample, start, end)
         return out
     i = 0
     while i < len(start):
         j = int(np.searchsorted(end, start[i] + _HEAD_ROWS, side="right"))
         r0, r1 = start[i], end[j - 1]
-        step = np.pi * u[r0:r1]
-        terms = _rotations(0.5 * step, step, d)[0] * x[r0:r1]
-        np.add.at(acc, sample[i:j], _piece_sums(terms, start[i:j] - r0, end[i:j] - r0) * scale)
+        terms = _head_cosines(u[r0:r1], d) * x[r0:r1]
+        np.add.at(acc, sample[i:j], _piece_sums(terms, start[i:j] - r0) * scale)
         i = j
     return out
 

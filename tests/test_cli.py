@@ -397,6 +397,20 @@ class TestMcMean:
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert outputs[0] and outputs[0] == outputs[1] == outputs[2], (command, model)
 
+    def test_worker_count_never_changes_bytes_of_cut_samples(self, tmp_path):
+        # gamma(c=20) samples hold about 909 jumps each, which shot_sum cuts
+        # into a piece of 512 rows and one of about 397, past d = 64 in
+        # products whose shapes follow the pieces' row counts; 520 paths are
+        # two chunks, of 512 samples and of 8.
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main(["mc-mean", "--model", "gamma", "--model-param", "c=20", "--seed", "5",
+                         "--n-paths", "520", "--d-list", "65,3000", "--grid-n", "8",
+                         "--output-dir", str(out), "--workers", workers]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("command", ["mc-mean", "simulate-paths", "validate"])
     def test_negative_seed_is_one_line_config_error(self, tmp_path, capsys, command):
         rc = main([command, "--model", "variance_gamma", "--seed", "-1", "--n-paths", "4",

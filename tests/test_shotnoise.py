@@ -332,17 +332,18 @@ class TestShotSum:
 
     def test_tiles_independent_of_d_and_chunk(self):
         # Columns past k = 64 come from GEMM tiles of one shape (512 columns,
-        # zero-padded past d) over pieces padded to a row bucket that their
-        # own row count sets, so every d and every chunking of the samples
+        # zero-padded past d) per piece, whose inner dimension is the piece's
+        # own row count, so every d and every chunking of the samples
         # reproduces d = 3000 bitwise: across tile edges (512/513), with
-        # samples of no rows and samples cut past the 512-row budget. The
-        # head is summed by the d <= 64 route over contiguous rows and by
-        # the d > 64 route over padded pieces; both give the same bits, also
-        # for samples cut into several pieces. (A sum over a piece's padded
-        # bucket would often match too: the 21- and 37-row samples are ones
-        # where it does not.)
+        # samples of no rows, samples of every row count mod 16, and samples
+        # cut past the 512-row budget into two or three pieces (511 to 1100
+        # rows). The head is summed by the d <= 64 route over contiguous
+        # rows and by the d > 64 route per run of pieces of one row count;
+        # both give the same bits, also for samples cut into several pieces.
         rng = np.random.default_rng(13)
-        n = np.array([0, 45, 1, 0, 16, 17, 700, 512, 0, 3, 90, 513, 0, 48, 2, 1100, 31, 21, 37])
+        n = np.array([0, 45, 1, 0, 16, 17, 700, 512, 0, 3, 90, 513, 0, 48, 2, 1100, 31, 21, 37,
+                      20, 22, 23, 24, 25, 27, 30, 511, 1025, 45, 45, 21])
+        assert set(n[n > 0] % 16) == set(range(16))
         offsets = np.concatenate(([0], np.cumsum(n)))
         x = rng.exponential(size=offsets[-1]) * rng.choice([-1.0, 1.0], size=offsets[-1])
         u = rng.random(offsets[-1])
@@ -441,6 +442,23 @@ class TestShotSum:
             assert self._relative_error(basis, xj, uj, rows[j]) <= 1e-13
         assert not np.any(rows[n == 0])
         assert np.array_equal(shot_sum(basis, x[:0], u[:0], np.zeros(4, dtype=int)), np.zeros((3, basis.d)))
+
+    def test_complex_products_round_alike_anywhere(self):
+        # The anchors past k = 64 are out-of-place complex products
+        # (``_span_ladders``), so a row's bits rely on numpy rounding such a
+        # product alike at any position of any array: contiguous, strided
+        # or broadcast (an in-place product of a one-element array need
+        # not, see ``basis._rotations``).
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal((2, 40, 2)).view(complex)[..., 0]
+        alone = np.array([np.multiply(a[i:i + 1], b[i:i + 1])[0] for i in range(40)])
+        for n in (1, 2, 3, 5, 8, 9, 17, 33, 40):
+            assert np.array_equal(np.multiply(a[:n], b[:n]), alone[:n])
+            strided = np.zeros((n, 3), dtype=complex)
+            np.multiply(a[:n], b[:n], out=strided[:, 1])
+            assert np.array_equal(strided[:, 1], alone[:n])
+        outer = np.multiply(a[:, None], b[None, :7])
+        assert np.array_equal(outer[:, 3], np.array([np.multiply(a[i:i + 1], b[3:4])[0] for i in range(40)]))
 
     def test_adds_into_out(self):
         basis = KleBasis(T=1.0, d=70, alpha=1.0)

@@ -18,7 +18,7 @@ from levykle.models import (
 from levykle.oracles import direct_series_subordinator
 from levykle.shotnoise import ShotConfig, sample_coeffs_batch
 from levykle.special import E1_SERIES_FROM
-from levykle.validation import _roundtrip_tail, dependence_suite, run_validation
+from levykle.validation import _roundtrip_tail, dependence_suite, moment_suite, run_validation
 
 
 def _failures(report):
@@ -95,6 +95,50 @@ class TestDirectTerminalSamples:
         vals = direct_series_subordinator(cp.tail_pos, 2.0, 2.0, 20000, 7, ShotConfig(seed=9))
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 2.0 * cp.mean_rate) < 4.0 * se
+
+
+class TestMomentSuite:
+    """Each moment check gates the largest of its m statistics at the z with
+    m P(|N(0, 1)| > z) = 1e-3, at least 4 SE."""
+
+    @staticmethod
+    def _brownian(d, n, seed):
+        model = as_split(make_brownian(1.0))
+        basis = KleBasis(T=1.0, d=d, alpha=model.alpha)
+        return model, basis, sample_coeffs_batch(model, basis, ShotConfig(seed=seed), n)[0]
+
+    def test_brownian_d300_passes_for_20_seeds(self):
+        # Exactly independent coefficients: at a fixed 4 SE the largest of
+        # the 44850 correlations failed seeds 1, 2 and 3 (4.29, 4.25, 4.27).
+        for seed in range(1, 21):
+            model, basis, Z = self._brownian(300, 2000, seed)
+            checks = moment_suite(model, basis, Z)
+            assert all(c["passed"] for c in checks), (seed, [(c["name"], c["statistic"]) for c in checks])
+        tolerances = {c["name"]: c["tolerance"] for c in checks}
+        assert tolerances["moments.mean_zero"] == tolerances["moments.variance_eigenvalue"] == pytest.approx(4.649, abs=1e-3)
+        assert tolerances["moments.uncorrelated"] == pytest.approx(5.593, abs=1e-3)
+        assert "m=44850" in checks[2]["detail"] and "alpha=0.001" in checks[2]["detail"]
+
+    def test_small_families_keep_the_4_se_floor(self):
+        model, basis, Z = self._brownian(3, 500, 1)
+        assert [c["tolerance"] for c in moment_suite(model, basis, Z)] == [4.0, 4.0, 4.0]
+
+    def test_rejects_one_eigenvalue_scaled_by_5_percent(self):
+        # 40000 samples put a 5% variance error at about 7 SE.
+        model, basis, Z = self._brownian(5, 40000, 2)
+        assert all(c["passed"] for c in moment_suite(model, basis, Z))
+        Z[:, 2] *= math.sqrt(1.05)
+        checks = {c["name"]: c for c in moment_suite(model, basis, Z)}
+        assert not checks["moments.variance_eigenvalue"]["passed"]
+
+    def test_rejects_an_injected_correlation(self):
+        # A correlation of 0.2 between Z_1 and Z_2 sits at about 9 SE at
+        # N = 2000, above the 5.59 of d = 300.
+        model, basis, Z = self._brownian(300, 2000, 3)
+        lam = basis.eigenvalues()
+        Z[:, 1] = 0.98 * Z[:, 1] + 0.2 * Z[:, 0] * math.sqrt(lam[1] / lam[0])
+        checks = {c["name"]: c for c in moment_suite(model, basis, Z)}
+        assert not checks["moments.uncorrelated"]["passed"]
 
 
 class TestDependenceSuite:
